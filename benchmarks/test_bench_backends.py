@@ -5,7 +5,10 @@ transport — same results, different dispatch cost.  These benchmarks
 measure that cost for a grid of trivial tasks so the trajectory records
 what each transport charges per sweep: ``serial`` (in-process floor),
 ``forked`` (pool spawn every sweep), and ``persistent`` (pool spawned
-once, then warm reuse).  The ``socket`` backend needs external daemons
+once, then warm reuse).  Every pooled map runs under the supervisor
+(``repro.runtime.supervision``), which dispatches one task per
+submission, so the pooled numbers include per-task dispatch, start
+markers and the supervisor loop.  The ``socket`` backend needs external daemons
 and is exercised by ``tests/chaos/test_chaos_socket.py`` instead.
 """
 
@@ -58,7 +61,7 @@ def test_dispatch_serial(benchmark, reference):
 
 @needs_fork
 def test_dispatch_forked(benchmark, reference, fresh_backends):
-    """Legacy path: a fresh forked pool is spawned for every sweep."""
+    """Per-sweep pool: a fresh forked pool is spawned for every sweep."""
     results = run_once(
         benchmark, map_tasks, _square, range(TASK_COUNT),
         workers=POOL_WORKERS, backend="forked",

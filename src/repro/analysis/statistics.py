@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
+
+#: ``log(2 * pi) / 2``, the Gaussian log-density normaliser.
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -55,11 +57,13 @@ def fit_band_distribution(coefficients: np.ndarray) -> BandDistributionFit:
     laplace_scale = float(np.mean(np.abs(coefficients)))
     gaussian_sigma = max(gaussian_sigma, 1e-12)
     laplace_scale = max(laplace_scale, 1e-12)
+    # Closed-form log-densities (NumPy only: no scipy at import time).
+    z = coefficients / gaussian_sigma
     gaussian_ll = float(
-        scipy_stats.norm.logpdf(coefficients, loc=0.0, scale=gaussian_sigma).sum()
+        (-0.5 * z * z - np.log(gaussian_sigma) - _HALF_LOG_2PI).sum()
     )
     laplace_ll = float(
-        scipy_stats.laplace.logpdf(coefficients, loc=0.0, scale=laplace_scale).sum()
+        (-np.abs(coefficients) / laplace_scale - np.log(2.0 * laplace_scale)).sum()
     )
     return BandDistributionFit(
         std=std,
@@ -74,8 +78,22 @@ def band_kurtosis(coefficients: np.ndarray) -> float:
 
     Natural-image AC bands are leptokurtic (positive excess kurtosis),
     which is why the Laplace model usually wins the likelihood comparison.
+    This is the bias-corrected sample estimator ``G2`` (Fisher's
+    definition, the one ``scipy.stats.kurtosis(fisher=True, bias=False)``
+    computes); a constant band has no defined kurtosis and returns NaN.
     """
     coefficients = np.asarray(coefficients, dtype=np.float64).ravel()
-    if coefficients.size < 4:
+    n = coefficients.size
+    if n < 4:
         raise ValueError("need at least four coefficients for kurtosis")
-    return float(scipy_stats.kurtosis(coefficients, fisher=True, bias=False))
+    mean = coefficients.mean()
+    deviations = coefficients - mean
+    squared = deviations * deviations
+    m2 = squared.mean()
+    m4 = (squared * squared).mean()
+    if m2 <= (np.finfo(np.float64).eps * mean) ** 2:
+        return float("nan")
+    return float(
+        1.0 / (n - 2) / (n - 3)
+        * ((n ** 2 - 1.0) * m4 / m2 ** 2.0 - 3 * (n - 1) ** 2.0)
+    )

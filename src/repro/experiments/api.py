@@ -504,9 +504,9 @@ def run_experiment(
             (experiment.name, key, cell, experiment.task_extra(ctx, i, cell))
             for i, cell in enumerate(cells)
         ]
-        # Supervision engages when any fault-tolerance knob departs from
-        # the default; plain fail-fast with no timeout keeps the legacy
-        # fast path (bit-identical chunked dispatch, raw propagation).
+        # With every fault-tolerance knob at its default the map runs
+        # with no policy: fail-fast, and a raising cell propagates its
+        # own exception rather than a TaskError.
         supervised = (
             config.on_error != "fail-fast" or config.task_timeout is not None
         )

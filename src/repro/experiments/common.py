@@ -62,7 +62,7 @@ class ExperimentConfig:
     backend:
         Execution backend of the sweep runtime (see
         :mod:`repro.runtime.backends`): ``None`` (the default) keeps the
-        automatic choice — the historical in-process/forked paths —
+        automatic choice — in-process for one worker, else forked —
         while ``"serial"``, ``"forked"``, ``"persistent"`` and
         ``"socket"`` select a transport explicitly.  Like the
         fault-tolerance knobs, the backend is pure transport: results

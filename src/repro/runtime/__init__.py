@@ -5,13 +5,14 @@
 :class:`~repro.experiments.common.ExperimentConfig`, the dataset
 compression entry points in :mod:`repro.core.baselines` and every
 ``fig*`` experiment sweep: deterministic task sharding with a serial
-fallback that is bit-identical to the historical single-process loops.
+path that is bit-identical to the historical single-process loops.
 
-:mod:`repro.runtime.supervision` layers fault tolerance on top — per-task
+:mod:`repro.runtime.supervision` runs every pooled map — per-task
 :class:`~repro.runtime.supervision.TaskFailure` envelopes, bounded
 deterministic retries, per-task timeouts with a hung-worker watchdog and
-broken-pool recovery — engaged through the ``policy``/``retries``/
-``task_timeout`` knobs of the executor maps.
+broken-pool recovery, tuned through the ``policy``/``retries``/
+``task_timeout`` knobs of the executor maps — over the transports in
+:mod:`repro.runtime.backends`.
 :mod:`repro.runtime.faults` is the matching deterministic fault-injection
 harness the chaos tests drive.
 """
@@ -21,7 +22,6 @@ from repro.runtime.executor import (
     TaskState,
     available_workers,
     chunk_bounds,
-    default_chunksize,
     effective_workers,
     fork_available,
     imap_tasks,
@@ -46,7 +46,6 @@ __all__ = [
     "TaskState",
     "available_workers",
     "chunk_bounds",
-    "default_chunksize",
     "effective_workers",
     "fork_available",
     "imap_tasks",

@@ -1,21 +1,18 @@
 """Pluggable execution backends behind one ``ExecutorBackend`` interface.
 
-:func:`~repro.runtime.executor.map_tasks` historically hard-wired two
-execution strategies — an in-process serial loop and a per-map forked
-:class:`~concurrent.futures.ProcessPoolExecutor` — and
-:mod:`repro.runtime.supervision` hard-wired a third (the supervised
-pool).  This module factors all of them behind one small interface so
-the *policy* layer (retries, timeouts, crash classification, error
-policies) is written once and runs identically over every transport:
+Every pooled :func:`~repro.runtime.executor.map_tasks` runs under the
+supervisor in :mod:`repro.runtime.supervision`, which drives one of the
+transports below through one small interface, so the *policy* layer
+(retries, timeouts, crash classification, error policies) is written
+once and runs identically over every transport:
 
 ``serial``
-    The exact in-process loop.  Supervised maps run the execution
-    envelope inline: failure envelopes and retries work, but there is no
-    second process to kill, so timeouts and crash recovery do not apply.
+    In-process execution.  The execution envelope runs inline: failure
+    envelopes and retries work, but there is no second process to kill,
+    so timeouts and crash recovery do not apply.
 ``forked``
-    The exact per-map forked pool (plain maps) and the supervised pool
-    with watchdog + broken-pool recovery.  Bit-identical to the
-    pre-backend paths.
+    A forked process pool per map, with a hung-worker watchdog and
+    broken-pool recovery.
 ``persistent``
     The forked pool, created once and reused across sweeps/batches — a
     process-level singleton that kills the per-sweep fork + pickle tax.
@@ -38,9 +35,9 @@ results — and therefore store addresses via ``task_key()`` — are
 bit-identical across backends.  Selection precedence is explicit
 argument (``ExperimentConfig.backend`` / CLI ``--backend``) over the
 :data:`ENV_VAR` environment variable over ``None`` (auto), and auto is
-*exactly* the historical behaviour.
+``forked`` (``serial`` where ``fork`` is unavailable).
 
-The supervised half of the interface is event-driven: the supervisor
+The interface is event-driven: the supervisor
 (:func:`repro.runtime.supervision.supervise`) calls
 ``open(function, tasks, workers)``, then ``submit(index, attempt)`` /
 ``poll(timeout) -> [BackendEvent]`` in a loop, consulting ``running()``
@@ -69,11 +66,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.runtime import shm, supervision, wire
-from repro.runtime.executor import (
-    default_chunksize,
-    effective_workers,
-    fork_available,
-)
+from repro.runtime.executor import fork_available
 from repro.runtime.supervision import (
     FAILURE_CRASH,
     FAILURE_TIMEOUT,
@@ -131,9 +124,8 @@ def validate_backend_name(name: Optional[str]) -> Optional[str]:
 def resolve_backend_name(name: Optional[str] = None) -> Optional[str]:
     """Resolve the backend to use: explicit argument > env var > auto.
 
-    Returns ``None`` for auto — callers treat that as "the exact
-    historical path" (serial/forked chosen by worker count and platform,
-    bit-identical to the pre-backend behaviour).
+    Returns ``None`` for auto, which the supervisor runs as ``forked``
+    (``serial`` where ``fork`` is unavailable).
     """
     if name is not None:
         return validate_backend_name(name)
@@ -160,8 +152,7 @@ class BackendEvent:
 class ExecutorBackend:
     """The transport interface every backend implements.
 
-    Plain (unsupervised) maps go through :meth:`map_ordered` /
-    :meth:`imap_ordered`; supervised maps through the
+    The supervisor drives a map through the
     ``open``/``submit``/``poll``/``running``/``kill``/``close`` cycle
     described in the module docstring.  :meth:`shutdown` releases every
     long-lived resource (persistent pools, listening sockets) and is
@@ -170,15 +161,6 @@ class ExecutorBackend:
 
     name = "abstract"
 
-    # -- plain maps ----------------------------------------------------
-    def map_ordered(self, function, tasks, workers=1, chunksize=None,
-                    on_result=None) -> list:
-        raise NotImplementedError
-
-    def imap_ordered(self, function, tasks, workers=1, window=None):
-        raise NotImplementedError
-
-    # -- supervised maps -----------------------------------------------
     def open(self, function, tasks, workers: int) -> None:
         raise NotImplementedError
 
@@ -217,13 +199,12 @@ class ExecutorBackend:
 # ----------------------------------------------------------------------
 
 class SerialBackend(ExecutorBackend):
-    """In-process execution: the exact historical serial loop.
+    """In-process execution of the supervised envelope.
 
-    The supervised half runs the execution envelope inline at
-    ``submit`` time — envelopes, retries and policies all work, but
-    :meth:`running` stays empty because there is no second process to
-    kill, so timeouts are not enforced (documented degradation,
-    identical to the pre-backend serial fallback).
+    The execution envelope runs inline at ``submit`` time — envelopes,
+    retries and policies all work, but :meth:`running` stays empty
+    because there is no second process to kill, so timeouts are not
+    enforced (documented degradation).
     """
 
     name = "serial"
@@ -232,20 +213,6 @@ class SerialBackend(ExecutorBackend):
         self._function = None
         self._tasks: list = []
         self._events: "list[BackendEvent]" = []
-
-    def map_ordered(self, function, tasks, workers=1, chunksize=None,
-                    on_result=None) -> list:
-        results = []
-        for index, task in enumerate(tasks):
-            value = function(task)
-            if on_result is not None:
-                on_result(index, value)
-            results.append(value)
-        return results
-
-    def imap_ordered(self, function, tasks, workers=1, window=None):
-        for task in tasks:
-            yield function(task)
 
     def open(self, function, tasks, workers: int) -> None:
         self._function = function
@@ -400,14 +367,12 @@ def _timeout_failure(index, attempt) -> TaskFailure:
 
 
 class ForkedBackend(ExecutorBackend):
-    """Per-map forked process pool: the exact pre-backend pool paths.
+    """Per-map forked process pool under the supervisor.
 
-    Plain maps reproduce :func:`~repro.runtime.executor.map_tasks`'s
-    chunked ``pool.map`` (including its serial fallback conditions);
-    supervised maps reproduce the supervised pool — fork-inherited
-    start-marker channel, hung-worker watchdog kills, broken-pool
-    recovery with crash classification, and free re-queueing of
-    bystanders (reported to the supervisor as ``lost`` events).
+    A fork-inherited start-marker channel, hung-worker watchdog kills,
+    broken-pool recovery with crash classification, and free
+    re-queueing of bystanders (reported to the supervisor as ``lost``
+    events).
     """
 
     name = "forked"
@@ -433,60 +398,6 @@ class ForkedBackend(ExecutorBackend):
         self._worker_pids: dict = {}   # pid -> Process (this generation)
         self._broken_submits: list = []
         self._unattributed_restarts = 0
-
-    # -- plain maps ----------------------------------------------------
-
-    def map_ordered(self, function, tasks, workers=1, chunksize=None,
-                    on_result=None) -> list:
-        tasks = list(tasks)
-        count = effective_workers(workers, task_count=len(tasks))
-        if count <= 1 or len(tasks) <= 1 or not fork_available():
-            return SerialBackend().map_ordered(
-                function, tasks, on_result=on_result
-            )
-        if chunksize is None:
-            chunksize = default_chunksize(len(tasks), count)
-        with self._plain_pool(count) as pool:
-            results = []
-            for index, value in enumerate(
-                pool.map(_shm_function(function), tasks, chunksize=chunksize)
-            ):
-                value = shm.maybe_load(value)
-                if on_result is not None:
-                    on_result(index, value)
-                results.append(value)
-            return results
-
-    def imap_ordered(self, function, tasks, workers=1, window=None):
-        tasks = list(tasks)
-        count = effective_workers(workers, task_count=len(tasks))
-        if count <= 1 or len(tasks) <= 1 or not fork_available():
-            for task in tasks:
-                yield function(task)
-            return
-        if window is None:
-            window = 2 * count
-        window = max(int(window), 1)
-        wrapped = _shm_function(function)
-        with self._plain_pool(count) as pool:
-            pending = deque()
-            iterator = iter(tasks)
-            import itertools
-
-            for task in itertools.islice(iterator, window):
-                pending.append(pool.submit(wrapped, task))
-            for task in iterator:
-                yield shm.maybe_load(pending.popleft().result())
-                pending.append(pool.submit(wrapped, task))
-            while pending:
-                yield shm.maybe_load(pending.popleft().result())
-
-    def _plain_pool(self, count):
-        """A context manager yielding a pool for one plain map."""
-        context = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(max_workers=count, mp_context=context)
-
-    # -- supervised maps -----------------------------------------------
 
     def open(self, function, tasks, workers: int) -> None:
         self._function = _shm_function(function)
@@ -778,86 +689,6 @@ class PersistentBackend(ForkedBackend):
     name = "persistent"
     keep_pool = True
 
-    def map_ordered(self, function, tasks, workers=1, chunksize=None,
-                    on_result=None) -> list:
-        tasks = list(tasks)
-        count = effective_workers(workers, task_count=len(tasks))
-        if count <= 1 or len(tasks) <= 1 or not fork_available():
-            return SerialBackend().map_ordered(
-                function, tasks, on_result=on_result
-            )
-        if chunksize is None:
-            chunksize = default_chunksize(len(tasks), count)
-        pool = self._persistent_pool(count)
-        try:
-            results = []
-            for index, value in enumerate(
-                pool.map(_shm_function(function), tasks, chunksize=chunksize)
-            ):
-                value = shm.maybe_load(value)
-                if on_result is not None:
-                    on_result(index, value)
-                results.append(value)
-            return results
-        except BrokenProcessPool:
-            self._discard_pool()
-            raise
-        finally:
-            supervision._START_CHANNEL = self._previous_channel
-            self._previous_channel = None
-
-    def imap_ordered(self, function, tasks, workers=1, window=None):
-        tasks = list(tasks)
-        count = effective_workers(workers, task_count=len(tasks))
-        if count <= 1 or len(tasks) <= 1 or not fork_available():
-            for task in tasks:
-                yield function(task)
-            return
-        if window is None:
-            window = 2 * count
-        window = max(int(window), 1)
-        pool = self._persistent_pool(count)
-        wrapped = _shm_function(function)
-        try:
-            pending = deque()
-            iterator = iter(tasks)
-            import itertools
-
-            for task in itertools.islice(iterator, window):
-                pending.append(pool.submit(wrapped, task))
-            for task in iterator:
-                yield shm.maybe_load(pending.popleft().result())
-                pending.append(pool.submit(wrapped, task))
-            while pending:
-                yield shm.maybe_load(pending.popleft().result())
-        except BrokenProcessPool:
-            self._discard_pool()
-            raise
-        finally:
-            supervision._START_CHANNEL = self._previous_channel
-            self._previous_channel = None
-
-    def _persistent_pool(self, count):
-        """The warm pool, (re)built to hold at least ``count`` workers.
-
-        Also pins the start-marker channel global for the duration of
-        the map (restored by the caller's ``finally``): pools fork
-        workers lazily at submit time, and a worker forked during a
-        *plain* map must still inherit this backend's channel so a later
-        *supervised* map reusing the pool gets its start markers.
-        """
-        if self._channel is None:
-            context = multiprocessing.get_context("fork")
-            self._channel = context.SimpleQueue()
-        self._previous_channel = supervision._START_CHANNEL
-        supervision._START_CHANNEL = self._channel
-        self._count = count
-        if self._pool is not None and (
-            _pool_is_broken(self._pool) or self._pool._max_workers < count
-        ):
-            self._discard_pool()
-        return self._ensure_pool()
-
 
 # ----------------------------------------------------------------------
 # socket
@@ -939,10 +770,6 @@ class SocketBackend(ExecutorBackend):
       at ``open`` — or mid-sweep after every worker is lost — logs a
       warning and reroutes the rest of the map through the local
       ``forked`` backend (``serial`` where ``fork`` is unavailable).
-
-    Plain (unsupervised) maps are routed through the supervised path
-    with ``fail-fast``/no retries, then unwrapped back to the original
-    exception — the socket tier always needs lease accounting.
     """
 
     name = "socket"
@@ -975,36 +802,6 @@ class SocketBackend(ExecutorBackend):
         self._degraded = False
         self._local: Optional[ExecutorBackend] = None
         self._last_fresh = 0.0
-
-    # -- plain maps (routed through supervision) -----------------------
-
-    def map_ordered(self, function, tasks, workers=1, chunksize=None,
-                    on_result=None) -> list:
-        from repro.runtime.supervision import TaskError, supervised_map
-
-        try:
-            return supervised_map(
-                function, list(tasks), workers=workers, policy="fail-fast",
-                retries=0, on_result=on_result, backend="socket",
-            )
-        except TaskError as error:
-            if error.failure.error is not None:
-                raise error.failure.error from None
-            raise
-
-    def imap_ordered(self, function, tasks, workers=1, window=None):
-        from repro.runtime.supervision import TaskError, supervised_imap
-
-        iterator = supervised_imap(
-            function, list(tasks), workers=workers, policy="fail-fast",
-            retries=0, window=window, backend="socket",
-        )
-        try:
-            yield from iterator
-        except TaskError as error:
-            if error.failure.error is not None:
-                raise error.failure.error from None
-            raise
 
     # -- server plumbing -----------------------------------------------
 

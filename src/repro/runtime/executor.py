@@ -5,9 +5,10 @@ and the dataset-level codec batches — funnels through :func:`map_tasks`:
 a list of picklable task descriptions is mapped over a module-level task
 function, either serially in-process (``workers=1``, the default, which
 runs the exact same function objects in the exact same order as the
-historical loops and is therefore bit-identical to them) or through a
-:class:`concurrent.futures.ProcessPoolExecutor` with chunked scheduling
-and in-order reassembly.
+historical loops and is therefore bit-identical to them) or through the
+supervised runtime (:mod:`repro.runtime.supervision`), which drives one
+of the :mod:`repro.runtime.backends` transports and reassembles results
+in task order.
 
 Design rules the callers follow:
 
@@ -40,13 +41,10 @@ serial path rather than risking stale or expensive worker state.
 
 from __future__ import annotations
 
-import itertools
-import math
 import multiprocessing
 import os
 import sys
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -92,17 +90,6 @@ def effective_workers(workers, task_count: int = None) -> int:
     return max(count, 1)
 
 
-def default_chunksize(task_count: int, workers: int) -> int:
-    """Tasks per pool dispatch: ~4 dispatches per worker.
-
-    Small enough to balance uneven task costs across the pool, large
-    enough that per-dispatch pickling does not dominate for fine tasks.
-    """
-    if task_count <= 0 or workers <= 0:
-        return 1
-    return max(1, math.ceil(task_count / (workers * 4)))
-
-
 def chunk_bounds(total: int, chunk: int) -> "list[tuple[int, int]]":
     """Ordered ``(start, stop)`` shards covering ``range(total)``.
 
@@ -134,11 +121,55 @@ def spawn_seeds(seed, count: int) -> "list[np.random.SeedSequence]":
     return np.random.SeedSequence(seed).spawn(count)
 
 
+def _runs_inline(policy, task_timeout, backend, workers, task_count) -> bool:
+    """Whether a map runs as a plain in-process loop.
+
+    That is the case only with no supervision knob set and a map that
+    is serial anyway: the ``serial`` backend, one effective worker, one
+    task, or no safe ``fork``.  The ``socket`` tier always dispatches,
+    because its worker daemons are separate processes whatever the
+    local worker count.
+    """
+    if policy is not None or task_timeout is not None:
+        return False
+    from repro.runtime.backends import resolve_backend_name
+
+    resolved = resolve_backend_name(backend)
+    if resolved == "serial":
+        return True
+    if resolved == "socket":
+        return False
+    return (
+        effective_workers(workers, task_count=task_count) <= 1
+        or task_count <= 1
+        or not fork_available()
+    )
+
+
+@contextmanager
+def _raw_task_errors(policy):
+    """Under ``policy=None``, re-raise a failed task's own exception.
+
+    A plain map keeps the contract of a plain loop: a task that raises
+    propagates its exception, not a
+    :class:`~repro.runtime.supervision.TaskError` wrapping it.  Failures
+    with no exception to re-raise (a crashed or timed-out worker) and
+    every explicit policy still raise ``TaskError``.
+    """
+    from repro.runtime.supervision import TaskError
+
+    try:
+        yield
+    except TaskError as error:
+        if policy is None and error.failure.error is not None:
+            raise error.failure.error from None
+        raise
+
+
 def map_tasks(
     function,
     tasks,
     workers: int = 1,
-    chunksize: int = None,
     on_result=None,
     policy: str = None,
     retries: int = 2,
@@ -149,12 +180,19 @@ def map_tasks(
     """Map ``function`` over ``tasks``, serially or through a process pool.
 
     Results come back in task order regardless of worker count.  With
-    ``workers=1`` (or a single task, or no ``fork`` support) the map
-    runs in-process — the same calls in the same order as a plain loop,
-    so serial results are bit-identical to the pre-runtime behaviour.
-    A task that raises propagates its exception to the caller and tears
-    the pool down cleanly; the next :func:`map_tasks` call starts a
-    fresh pool, so one poisoned sweep never wedges the runtime.
+    ``workers=1`` (or a single task, or no ``fork`` support, or the
+    ``serial`` backend) and no supervision knob set, the map runs
+    in-process — the same calls in the same order as a plain loop, with
+    no child process and no envelope, so serial results are
+    bit-identical to the pre-runtime behaviour.
+
+    Every other map runs under :func:`repro.runtime.supervision.supervise`.
+    ``policy=None`` (the default) means ``fail-fast`` with no retries: a
+    task that raises propagates its own exception to the caller and
+    tears the pool down, and a worker that dies raises
+    :class:`~repro.runtime.supervision.TaskError` (``kind ==
+    "worker-crash"``).  The next :func:`map_tasks` call starts a fresh
+    pool, so one poisoned sweep never wedges the runtime.
 
     ``function`` must be picklable (a module-level function) when a pool
     is used; each element of ``tasks`` is passed as its single argument.
@@ -163,45 +201,25 @@ def map_tasks(
     for every completed task, in task order; the experiment layer hooks
     progress reporting into it.
 
-    ``policy``/``retries``/``task_timeout``/``retry_backoff`` engage the
-    supervised runtime (:mod:`repro.runtime.supervision`): per-task
-    :class:`~repro.runtime.supervision.TaskFailure` envelopes instead of
-    pool-wide propagation, bounded deterministic retries, a hung-worker
-    watchdog and broken-pool recovery.  ``policy=None`` with no
-    ``task_timeout`` (the default) is the legacy fast path above —
-    chunked dispatch, raw exception propagation — and is bit-identical
-    to the historical behaviour.  Under ``policy="collect"`` the result
-    list carries a ``TaskFailure`` in each failed slot and ``on_result``
-    never fires for failures.
+    ``policy``/``retries``/``task_timeout``/``retry_backoff`` tune the
+    supervision: per-task
+    :class:`~repro.runtime.supervision.TaskFailure` envelopes, bounded
+    deterministic retries, a hung-worker watchdog and broken-pool
+    recovery.  An explicit policy raises ``TaskError`` when a task runs
+    out of attempts; under ``policy="collect"`` the result list carries
+    a ``TaskFailure`` in each failed slot and ``on_result`` never fires
+    for failures.
 
     ``backend`` selects the execution transport
     (:mod:`repro.runtime.backends`): ``"serial"``, ``"forked"``,
     ``"persistent"`` (a warm pool reused across maps) or ``"socket"``
     (external worker daemons).  ``None`` defers to the ``REPRO_BACKEND``
-    environment variable; unset, the historical auto behaviour runs —
-    and because the backends map the same payloads through the same
+    environment variable; unset, a pooled map uses ``forked`` — and
+    because the backends map the same payloads through the same
     functions, results are bit-identical across all of them.
     """
     tasks = list(tasks)
-    if policy is not None or task_timeout is not None:
-        from repro.runtime.supervision import supervised_map
-
-        return supervised_map(
-            function, tasks, workers=workers,
-            policy=policy if policy is not None else "fail-fast",
-            retries=retries, task_timeout=task_timeout,
-            backoff=retry_backoff, on_result=on_result, backend=backend,
-        )
-    from repro.runtime.backends import get_backend, resolve_backend_name
-
-    resolved = resolve_backend_name(backend)
-    if resolved is not None:
-        return get_backend(resolved).map_ordered(
-            function, tasks, workers=workers, chunksize=chunksize,
-            on_result=on_result,
-        )
-    count = effective_workers(workers, task_count=len(tasks))
-    if count <= 1 or len(tasks) <= 1 or not fork_available():
+    if _runs_inline(policy, task_timeout, backend, workers, len(tasks)):
         results = []
         for index, task in enumerate(tasks):
             value = function(task)
@@ -209,18 +227,16 @@ def map_tasks(
                 on_result(index, value)
             results.append(value)
         return results
-    if chunksize is None:
-        chunksize = default_chunksize(len(tasks), count)
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=count, mp_context=context) as pool:
-        results = []
-        for index, value in enumerate(
-            pool.map(function, tasks, chunksize=chunksize)
-        ):
-            if on_result is not None:
-                on_result(index, value)
-            results.append(value)
-        return results
+    from repro.runtime.supervision import supervised_map
+
+    with _raw_task_errors(policy):
+        return supervised_map(
+            function, tasks, workers=workers,
+            policy=policy if policy is not None else "fail-fast",
+            retries=retries if policy is not None else 0,
+            task_timeout=task_timeout, backoff=retry_backoff,
+            on_result=on_result, backend=backend,
+        )
 
 
 #: Sentinel marking a task with no cached result in
@@ -356,50 +372,26 @@ def imap_tasks(
     sharding uses this to keep the parallel dataset path under the same
     peak-memory bound as the serial chunked loop.
 
-    The serial fallback conditions match :func:`map_tasks`; the pool
-    lives for the lifetime of the generator and is torn down when it is
-    exhausted (or closed early).  The supervision knobs (``policy``/
-    ``retries``/``task_timeout``/``retry_backoff``) behave as in
-    :func:`map_tasks`.
+    The in-process conditions, the supervision knobs and the error
+    contract match :func:`map_tasks`; the pool lives for the lifetime of
+    the generator and is torn down when it is exhausted (or closed
+    early).
     """
     tasks = list(tasks)
-    if policy is not None or task_timeout is not None:
-        from repro.runtime.supervision import supervised_imap
-
-        yield from supervised_imap(
-            function, tasks, workers=workers,
-            policy=policy if policy is not None else "fail-fast",
-            retries=retries, task_timeout=task_timeout,
-            backoff=retry_backoff, window=window, backend=backend,
-        )
-        return
-    from repro.runtime.backends import get_backend, resolve_backend_name
-
-    resolved = resolve_backend_name(backend)
-    if resolved is not None:
-        yield from get_backend(resolved).imap_ordered(
-            function, tasks, workers=workers, window=window,
-        )
-        return
-    count = effective_workers(workers, task_count=len(tasks))
-    if count <= 1 or len(tasks) <= 1 or not fork_available():
+    if _runs_inline(policy, task_timeout, backend, workers, len(tasks)):
         for task in tasks:
             yield function(task)
         return
-    if window is None:
-        window = 2 * count
-    window = max(int(window), 1)
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=count, mp_context=context) as pool:
-        pending = deque()
-        iterator = iter(tasks)
-        for task in itertools.islice(iterator, window):
-            pending.append(pool.submit(function, task))
-        for task in iterator:
-            yield pending.popleft().result()
-            pending.append(pool.submit(function, task))
-        while pending:
-            yield pending.popleft().result()
+    from repro.runtime.supervision import supervised_imap
+
+    with _raw_task_errors(policy):
+        yield from supervised_imap(
+            function, tasks, workers=workers,
+            policy=policy if policy is not None else "fail-fast",
+            retries=retries if policy is not None else 0,
+            task_timeout=task_timeout, backoff=retry_backoff,
+            window=window, backend=backend,
+        )
 
 
 class TaskState:

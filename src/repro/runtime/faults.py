@@ -37,8 +37,9 @@ Network fault kinds (socket-worker tier only, injected by
     hb-loss:3:1:20   suppress heartbeats for 20 s during task 3 (lease
                      expiry + reassignment)
 
-Faults fire only under the supervised runtime (an error policy, retries
-or a task timeout engaged); the legacy fast path never consults them.
+Faults fire inside the supervised execution envelope, which every
+pooled map runs; an in-process serial map with no supervision knob set
+(one worker, one task, or the ``serial`` backend) never consults them.
 The store-corruption fault — a crashed writer leaving a truncated
 artifact — is injected directly on disk with
 :func:`truncate_store_artifacts`.

@@ -157,7 +157,7 @@ def sweep_orphans(prefix: Optional[str] = None) -> "list[str]":
     unlinks as it loads, so anything still present belongs to a worker
     that died between creating a segment and delivering its name.
     Parent-owned stack segments (``-s-`` names) are deliberately not
-    swept — a concurrent plain map may still be attaching them, and
+    swept — a concurrent map may still be attaching them, and
     their creator's ``finally`` owns their cleanup.
     """
     prefix = f"{run_prefix()}-r-" if prefix is None else prefix

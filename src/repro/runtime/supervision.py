@@ -1,11 +1,10 @@
 """Supervised task execution: failure envelopes, retries, timeouts, recovery.
 
-The plain :func:`~repro.runtime.executor.map_tasks` pool propagates the
-first raising task pool-wide, and a killed or hung worker aborts the
-whole sweep — acceptable for an interactive reproduction, fatal for the
-edge/IoT deployments DeepN-JPEG targets, where preemption, OOM kills and
-transient failures are the norm.  This module supervises the map
-instead:
+Every pooled :func:`~repro.runtime.executor.map_tasks` runs under this
+supervisor.  A bare pool would abort the whole sweep on one killed or
+hung worker — fatal for the edge/IoT deployments DeepN-JPEG targets,
+where preemption, OOM kills and transient failures are the norm.  The
+supervisor provides:
 
 * **Per-task error envelopes.**  Each task runs inside
   :func:`_run_envelope`; an exception becomes a :class:`TaskFailure`
@@ -39,7 +38,9 @@ Three error policies decide what happens when a task exhausts its
 attempts: ``fail-fast`` (no retries; raise :class:`TaskError`
 immediately), ``retry`` (retry, then raise), ``collect`` (retry, then
 yield the :class:`TaskFailure` in the task's result slot so the sweep
-finishes every healthy task).
+finishes every healthy task).  A map with no policy set runs as
+``fail-fast`` and re-raises the task's own exception where there is
+one.
 
 The supervised path requires the ``fork`` start method for its worker
 channel and watchdog; without it, execution degrades to an in-process
@@ -239,8 +240,8 @@ def supervise(
 
     ``backend`` selects the transport
     (:mod:`repro.runtime.backends`): ``None`` defers to the
-    ``REPRO_BACKEND`` environment variable, and auto is the historical
-    behaviour — a forked pool when ``fork`` is available (even for
+    ``REPRO_BACKEND`` environment variable, and auto is a forked pool
+    when ``fork`` is available (even for
     ``workers=1``, because process isolation is the point: a crash or a
     kill must take out a worker, never the supervisor), else the
     in-process serial runner (envelopes and retries, but no timeouts or

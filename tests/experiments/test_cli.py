@@ -41,7 +41,7 @@ class TestArgumentParsing:
 
     def test_fault_tolerance_flags_default_to_none(self):
         # None = "not given": only explicit flags override the config's
-        # own defaults, so `repro run` stays on the legacy fast path.
+        # own defaults, so `repro run` maps with no error policy.
         arguments = build_parser().parse_args(["run", "fig5"])
         assert arguments.on_error is None
         assert arguments.retries is None

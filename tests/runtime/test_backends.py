@@ -2,8 +2,8 @@
 
 Socket-tier behaviour that needs live worker daemons lives in the chaos
 suite (``tests/chaos/test_chaos_socket.py``); this module covers the
-backend surface itself: name resolution, the registry, plain/supervised
-parity across serial/forked/persistent, persistent-pool reuse, and the
+backend surface itself: name resolution, the registry, map parity
+across serial/forked/persistent, persistent-pool reuse, and the
 coordinator's zero-worker degradation.
 """
 
@@ -35,6 +35,11 @@ def _square(value):
 
 def _boom(value):
     raise ValueError(f"boom {value}")
+
+
+def _persistent_map(tasks, workers):
+    """A plain map over the warm persistent pool."""
+    return map_tasks(_square, tasks, workers=workers, backend="persistent")
 
 
 @pytest.fixture(autouse=True)
@@ -98,14 +103,16 @@ class TestRegistry:
 
 class TestSerialBackend:
     def test_plain_map_matches_builtin(self):
-        backend = SerialBackend()
         seen = []
-        out = backend.map_ordered(
-            _square, range(5), on_result=lambda i, v: seen.append((i, v))
+        out = map_tasks(
+            _square, range(5), workers=2, backend="serial",
+            on_result=lambda i, v: seen.append((i, v)),
         )
         assert out == [v * v for v in range(5)]
         assert seen == [(i, i * i) for i in range(5)]
-        assert list(backend.imap_ordered(_square, range(5))) == out
+        assert list(
+            imap_tasks(_square, range(5), workers=2, backend="serial")
+        ) == out
 
     def test_supervised_cycle_emits_events_inline(self):
         backend = SerialBackend()
@@ -134,17 +141,17 @@ class TestSerialBackend:
 @needs_fork
 class TestForkedParity:
     def test_plain_map_matches_serial(self):
-        forked = ForkedBackend().map_ordered(_square, range(12), workers=2)
+        forked = map_tasks(_square, range(12), workers=2, backend="forked")
         assert forked == [v * v for v in range(12)]
 
     def test_imap_matches_serial(self):
         out = list(
-            ForkedBackend().imap_ordered(_square, range(12), workers=2)
+            imap_tasks(_square, range(12), workers=2, backend="forked")
         )
         assert out == [v * v for v in range(12)]
 
     def test_single_worker_falls_back_to_serial_path(self):
-        assert ForkedBackend().map_ordered(_square, range(4), workers=1) == [
+        assert map_tasks(_square, range(4), workers=1, backend="forked") == [
             0, 1, 4, 9,
         ]
 
@@ -153,27 +160,27 @@ class TestForkedParity:
 class TestPersistentBackend:
     def test_pool_survives_across_maps(self):
         backend = get_backend("persistent")
-        assert backend.map_ordered(_square, range(8), workers=2) == [
+        assert _persistent_map(range(8), workers=2) == [
             v * v for v in range(8)
         ]
         pool = backend._pool
         assert pool is not None
-        assert backend.map_ordered(_square, range(8), workers=2) == [
+        assert _persistent_map(range(8), workers=2) == [
             v * v for v in range(8)
         ]
         assert backend._pool is pool  # the warm pool was reused
 
     def test_pool_grows_for_a_larger_map(self):
         backend = get_backend("persistent")
-        backend.map_ordered(_square, range(8), workers=2)
+        _persistent_map(range(8), workers=2)
         first = backend._pool
-        backend.map_ordered(_square, range(8), workers=3)
+        _persistent_map(range(8), workers=3)
         assert backend._pool is not first
         assert backend._pool._max_workers >= 3
 
     def test_supervised_map_reuses_the_plain_pool(self):
         backend = get_backend("persistent")
-        backend.map_ordered(_square, range(8), workers=2)
+        _persistent_map(range(8), workers=2)
         pool = backend._pool
         out = supervised_map(
             _square, list(range(8)), workers=2, policy="retry", retries=1,
@@ -183,12 +190,11 @@ class TestPersistentBackend:
         assert get_backend("persistent")._pool is pool
 
     def test_shutdown_then_reuse_builds_a_fresh_pool(self):
-        backend = get_backend("persistent")
-        backend.map_ordered(_square, range(8), workers=2)
+        _persistent_map(range(8), workers=2)
         shutdown_backends()
-        assert get_backend("persistent").map_ordered(
-            _square, range(8), workers=2
-        ) == [v * v for v in range(8)]
+        assert _persistent_map(range(8), workers=2) == [
+            v * v for v in range(8)
+        ]
 
 
 class TestExecutorRouting:
@@ -241,9 +247,8 @@ class TestSocketDegradation:
     def test_degraded_plain_map_unwraps_errors(self, monkeypatch):
         monkeypatch.setenv(backends.SOCKET_BIND_ENV, "127.0.0.1:0")
         monkeypatch.setenv(backends.SOCKET_CONNECT_DEADLINE_ENV, "0.3")
-        backend = get_backend("socket")
         with pytest.raises(ValueError, match="boom"):
-            backend.map_ordered(_boom, ["x"], workers=1)
+            map_tasks(_boom, ["x"], workers=1, backend="socket")
 
     def test_ephemeral_bind_exposes_bound_address(self, monkeypatch):
         monkeypatch.setenv(backends.SOCKET_BIND_ENV, "127.0.0.1:0")

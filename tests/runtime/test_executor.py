@@ -1,19 +1,39 @@
 """Tests for the process-pool execution layer."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.runtime import backends, faults
 from repro.runtime.executor import (
     TaskState,
     available_workers,
     chunk_bounds,
-    default_chunksize,
     effective_workers,
     fork_available,
     imap_tasks,
     map_tasks,
     spawn_seeds,
 )
+from repro.runtime.supervision import TaskError
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="fork start method required"
+)
+
+#: The pooled transports a plain map's error contract must hold over.
+pooled_backends = pytest.mark.parametrize("backend", ["forked", "persistent"])
+
+
+@pytest.fixture(autouse=True)
+def _isolated_runtime(monkeypatch):
+    monkeypatch.delenv(backends.ENV_VAR, raising=False)
+    monkeypatch.delenv(faults.ENV_VAR, raising=False)
+    faults.clear_faults()
+    yield
+    faults.clear_faults()
+    backends.shutdown_backends()
 
 
 def _square(value):
@@ -79,17 +99,6 @@ class TestChunkBounds:
             chunk_bounds(4, 0)
 
 
-class TestDefaultChunksize:
-    def test_degenerate_inputs(self):
-        assert default_chunksize(0, 4) == 1
-        assert default_chunksize(10, 0) == 1
-
-    def test_spreads_over_workers(self):
-        # 4 dispatches per worker: 32 tasks over 4 workers -> chunks of 2.
-        assert default_chunksize(32, 4) == 2
-        assert default_chunksize(3, 8) == 1
-
-
 class TestMapTasks:
     def test_serial_runs_in_order(self):
         assert map_tasks(_square, range(6), workers=1) == [
@@ -104,7 +113,7 @@ class TestMapTasks:
 
     def test_parallel_preserves_order_with_uneven_chunks(self):
         tasks = list(range(11))
-        assert map_tasks(_square, tasks, workers=3, chunksize=2) == [
+        assert map_tasks(_square, tasks, workers=3) == [
             value * value for value in tasks
         ]
 
@@ -115,12 +124,27 @@ class TestMapTasks:
         with pytest.raises(ValueError, match="poisoned"):
             map_tasks(_raise_on_three, range(5), workers=1)
 
-    def test_pool_survives_worker_task_raising(self):
+    @pooled_backends
+    def test_pool_survives_worker_task_raising(self, backend):
         """A poisoned task fails the call, not the runtime."""
         with pytest.raises(ValueError, match="poisoned"):
-            map_tasks(_raise_on_three, range(5), workers=2)
+            map_tasks(_raise_on_three, range(5), workers=2, backend=backend)
         # The next pool works: one bad sweep never wedges the runtime.
-        assert map_tasks(_square, range(5), workers=2) == [0, 1, 4, 9, 16]
+        assert map_tasks(
+            _square, range(5), workers=2, backend=backend
+        ) == [0, 1, 4, 9, 16]
+
+    @needs_fork
+    @pooled_backends
+    def test_worker_crash_raises_task_error(self, backend):
+        with faults.injected("exit:2:1"):
+            with pytest.raises(TaskError) as exc_info:
+                map_tasks(_square, range(5), workers=2, backend=backend)
+        assert exc_info.value.failure.kind == "worker-crash"
+        # The crash broke one pool; the next map gets a working one.
+        assert map_tasks(
+            _square, range(5), workers=2, backend=backend
+        ) == [0, 1, 4, 9, 16]
 
     def test_on_result_fires_in_order_serial(self):
         seen = []
@@ -164,9 +188,12 @@ class TestImapTasks:
         assert next(iterator) == 0
         assert calls == [0]
 
-    def test_exception_propagates(self):
+    @pooled_backends
+    def test_exception_propagates(self, backend):
         with pytest.raises(ValueError, match="poisoned"):
-            list(imap_tasks(_raise_on_three, range(5), workers=2))
+            list(imap_tasks(
+                _raise_on_three, range(5), workers=2, backend=backend
+            ))
 
 
 class TestSpawnSeeds:
@@ -239,17 +266,18 @@ class TestTaskState:
         assert calls == [None]
 
 
-@pytest.mark.skipif(not fork_available(), reason="fork start method required")
+@needs_fork
 def test_parallel_really_uses_processes():
     """With fork available and workers > 1, tasks run in child processes."""
-    import os
-
     parent = os.getpid()
-    pids = map_tasks(_child_pid, range(4), workers=2, chunksize=1)
+    pids = map_tasks(_child_pid, range(4), workers=2)
     assert any(pid != parent for pid in pids)
 
 
-def _child_pid(_):
-    import os
+def test_single_worker_runs_in_the_parent():
+    """``workers=1`` maps in-process: every task runs in the parent."""
+    assert map_tasks(_child_pid, range(4), workers=1) == [os.getpid()] * 4
 
+
+def _child_pid(_):
     return os.getpid()

@@ -296,11 +296,31 @@ class TestExecutorIntegration:
             )
         assert out == [0, 1, 4, 9]
 
-    def test_map_tasks_legacy_path_ignores_faults(self):
-        # Without any supervision knob the legacy fast path runs and the
-        # harness never fires: installed faults must not perturb it.
+    def test_pooled_plain_map_raises_fault_raw_after_one_attempt(
+        self, monkeypatch
+    ):
+        # With no supervision knob a pooled map is fail-fast with no
+        # retries, and the task's own exception surfaces unwrapped.
+        from repro.runtime.backends import ForkedBackend
+
+        submitted = []
+        submit = ForkedBackend.submit
+
+        def spy(self, index, attempt):
+            submitted.append((index, attempt))
+            return submit(self, index, attempt)
+
+        monkeypatch.setattr(ForkedBackend, "submit", spy)
         with faults.injected("raise:1:0"):
-            assert map_tasks(_square, range(4), workers=2) == [0, 1, 4, 9]
+            with pytest.raises(InjectedFault, match="task 1"):
+                map_tasks(_square, range(4), workers=2)
+        assert [entry for entry in submitted if entry[0] == 1] == [(1, 1)]
+
+    def test_single_worker_plain_map_ignores_faults(self):
+        # The in-process serial loop runs no envelope, so installed
+        # faults never fire.
+        with faults.injected("raise:1:0"):
+            assert map_tasks(_square, range(4), workers=1) == [0, 1, 4, 9]
 
     def test_imap_tasks_policy_engages_supervision(self):
         with faults.injected("raise:2:1"):
