@@ -16,14 +16,21 @@ Entropy coding runs on a NumPy-vectorized fast path: the whole block
 stack is tokenized at once (:func:`repro.jpeg.rle.tokenize_blocks`),
 Huffman codes are assigned with dense lookup arrays and the bit stream
 is packed in one pass (:func:`repro.jpeg.bitstream.pack_bits`).
-Decoding resolves Huffman codes against precomputed 16-bit windows and
-a dense LUT instead of walking the stream bit by bit.  The scalar
-reference implementations are kept as ``encode_scalar`` /
-``decode_scalar`` and the tests assert both paths produce bit-identical
-streams.  ``compress`` additionally skips the redundant entropy decode
-of the round trip: the reconstruction is computed directly from the
-quantized coefficients, which is exactly what decoding the (lossless)
-entropy layer would return.
+Decoding has one path, ``_ChannelCoder.decode_to_zigzag``: a
+table-driven walk that resolves each Huffman code against precomputed
+16-bit windows and a dense LUT instead of reading the stream bit by
+bit.  The scalar reference implementations are kept as
+``encode_scalar`` / ``decode_scalar`` and the tests assert both paths
+produce bit-identical streams and blocks.  ``compress`` additionally
+skips the redundant entropy decode of the round trip: the
+reconstruction is computed directly from the quantized coefficients,
+which is exactly what decoding the (lossless) entropy layer would
+return.
+
+Both codecs run each plane through the same private pipeline
+(``_encode_plane``, ``_decode_plane``, ``_compress_plane_batch`` and
+the ``_header_bytes`` formula); the grayscale codec is the
+one-component case of the colour one.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from repro.jpeg.bitstream import (
 )
 from repro.jpeg.blocks import level_shift, partition_blocks_batch
 from repro.jpeg.dct import _DCT8, _DCT8_T
-from repro.jpeg.fsm_decode import decode_streams
 from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.metrics import CompressedSizeMixin, psnr
 from repro.jpeg.quantization import QuantizationTable
@@ -374,66 +380,17 @@ class _ChannelCoder:
 
     def encode(self, channel: np.ndarray) -> EncodedChannel:
         """Entropy-code one channel into bytes (vectorized fast path)."""
-        zz_blocks, grid_shape = self.quantized_blocks(channel)
-        return EncodedChannel(
-            data=self.encode_quantized(zz_blocks),
-            grid_shape=grid_shape,
-            channel_shape=(channel.shape[0], channel.shape[1]),
-            block_count=zz_blocks.shape[0],
-        )
-
-    #: Below this many streams the batched FSM decoder's fixed NumPy
-    #: dispatch overhead outweighs its throughput (it parallelizes across
-    #: streams, so a near-empty batch has nothing to vectorize over);
-    #: measured crossover on a 1-CPU container is ~20 streams.
-    FSM_MIN_STREAMS = 16
+        return _encode_plane(self, channel, optimize_huffman=False)[0]
 
     def decode_to_zigzag(self, data: bytes, block_count: int) -> np.ndarray:
         """Entropy-decode a byte stream into ``(block_count, 64)`` blocks.
 
-        A single stream offers the stream-parallel FSM decoder nothing
-        to vectorize over, so this path stays on the sequential
-        table-driven walk; :meth:`decode_to_zigzag_batch` is the fast
-        path for dataset-level decoding.
-        """
-        return self.decode_to_zigzag_walk(data, block_count)
-
-    def decode_to_zigzag_batch(
-        self, datas: "list[bytes]", block_counts: "list[int]"
-    ) -> "list[np.ndarray]":
-        """Entropy-decode many streams in one batched FSM pass.
-
-        All streams share this coder's Huffman tables (the dataset-level
-        decode path: every image of a sweep decodes against the standard
-        tables).  Flagged streams fall back to the sequential walk so
-        malformed data raises exactly as the per-stream path does.
-        Small batches (below :data:`FSM_MIN_STREAMS`) skip the FSM and
-        walk each stream directly.
-        """
-        if len(datas) < self.FSM_MIN_STREAMS:
-            return [
-                self.decode_to_zigzag_walk(data, count)
-                for data, count in zip(datas, block_counts)
-            ]
-        results, flagged = decode_streams(
-            datas, block_counts, self.dc_huffman, self.ac_huffman
-        )
-        for index in flagged:
-            results[index] = self.decode_to_zigzag_walk(
-                datas[index], block_counts[index]
-            )
-        return results
-
-    def decode_to_zigzag_walk(
-        self, data: bytes, block_count: int
-    ) -> np.ndarray:
-        """Sequential reference decode (and error path) for one stream.
-
-        Table-driven but scalar: Huffman codes are resolved in O(1)
-        against 16-bit peek windows precomputed for every bit offset of
-        the destuffed payload, walked one token at a time.  Kept as the
-        bit-exact reference for the FSM decoder and as the path that
-        raises precise errors on malformed streams.
+        Table-driven: Huffman codes are resolved in O(1) against 16-bit
+        peek windows precomputed for every bit offset of the destuffed
+        payload, walked one token at a time.  Malformed streams raise
+        ``ValueError`` (invalid code, block overrun) or ``EOFError``
+        (truncation).  :meth:`decode_scalar` is its bit-at-a-time
+        reference.
         """
         words, total_bits = peek_words(data)
         dc_symbols, dc_lengths = self.dc_huffman.decode_lut()
@@ -614,18 +571,11 @@ class GrayscaleJpegCodec:
     ) -> None:
         self.table = table
         self.optimize_huffman = bool(optimize_huffman)
-        self._standard_dc = HuffmanTable.standard_dc_luminance()
-        self._standard_ac = HuffmanTable.standard_ac_luminance()
-        self._cached_coder = _ChannelCoder(
-            table, self._standard_dc, self._standard_ac
+        self._coder = _ChannelCoder(
+            table,
+            HuffmanTable.standard_dc_luminance(),
+            HuffmanTable.standard_ac_luminance(),
         )
-        self._standard_header = None
-
-    def _standard_coder(self) -> _ChannelCoder:
-        return self._cached_coder
-
-    def _optimized_coder(self, zz_blocks: np.ndarray) -> _ChannelCoder:
-        return _optimized_channel_coder(self.table, zz_blocks)
 
     def spec(self) -> dict:
         """JSON-able description; rebuilds this codec via the registry."""
@@ -643,57 +593,17 @@ class GrayscaleJpegCodec:
         stream without out-of-band state.
         """
         image = _require_grayscale(image)
-        coder = self._standard_coder()
-        zz_blocks, grid_shape = coder.quantized_blocks(image)
-        if self.optimize_huffman:
-            coder = self._optimized_coder(zz_blocks)
-        return EncodedChannel(
-            data=coder.encode_quantized(zz_blocks),
-            grid_shape=grid_shape,
-            channel_shape=(image.shape[0], image.shape[1]),
-            block_count=zz_blocks.shape[0],
-            dc_huffman=coder.dc_huffman if self.optimize_huffman else None,
-            ac_huffman=coder.ac_huffman if self.optimize_huffman else None,
-        )
+        return _encode_plane(self._coder, image, self.optimize_huffman)[0]
 
     def decode(self, encoded: EncodedChannel) -> np.ndarray:
         """Decode an image previously produced by :meth:`encode`."""
-        if encoded.dc_huffman is None and encoded.ac_huffman is None:
-            return self._cached_coder.decode(encoded)
-        dc_table = encoded.dc_huffman or self._standard_dc
-        ac_table = encoded.ac_huffman or self._standard_ac
-        return _ChannelCoder(self.table, dc_table, ac_table).decode(encoded)
+        return _decode_plane(self._coder, encoded)
 
     def decode_batch(
         self, encoded_list: "list[EncodedChannel]"
     ) -> "list[np.ndarray]":
-        """Decode many encoded channels at once.
-
-        Channels carrying no per-image Huffman tables (the standard-
-        table fleet a sweep produces) are entropy-decoded as one
-        vectorized FSM batch; channels with their own tables decode
-        individually.
-        """
-        results = [None] * len(encoded_list)
-        shared = [
-            index for index, encoded in enumerate(encoded_list)
-            if encoded.dc_huffman is None and encoded.ac_huffman is None
-        ]
-        if shared:
-            coder = self._cached_coder
-            blocks_list = coder.decode_to_zigzag_batch(
-                [encoded_list[index].data for index in shared],
-                [encoded_list[index].block_count for index in shared],
-            )
-            for index, zz_blocks in zip(shared, blocks_list):
-                encoded = encoded_list[index]
-                results[index] = coder.reconstruct(
-                    zz_blocks, encoded.grid_shape, encoded.channel_shape
-                )
-        for index, encoded in enumerate(encoded_list):
-            if results[index] is None:
-                results[index] = self.decode(encoded)
-        return results
+        """Decode many encoded channels, one after another."""
+        return [_decode_plane(self._coder, encoded) for encoded in encoded_list]
 
     def encode_to_bytes(self, image: np.ndarray) -> bytes:
         """Encode one image into a self-contained byte container.
@@ -716,28 +626,17 @@ class GrayscaleJpegCodec:
         tests assert this equivalence against :meth:`decode`).
         """
         image = _require_grayscale(image)
-        coder = self._standard_coder()
-        zz_blocks, grid_shape = coder.quantized_blocks(image)
-        if self.optimize_huffman:
-            coder = self._optimized_coder(zz_blocks)
-            header = self.header_bytes(coder)
-        else:
-            header = self._cached_header_bytes()
-        data = coder.encode_quantized(zz_blocks)
-        reconstructed = coder.reconstruct(
-            zz_blocks, grid_shape, (image.shape[0], image.shape[1])
+        encoded, coder, zz_blocks = _encode_plane(
+            self._coder, image, self.optimize_huffman
         )
         return CompressionResult(
-            payload_bytes=len(data),
-            header_bytes=header,
-            original_bytes=int(image.shape[0] * image.shape[1]),
-            reconstructed=reconstructed,
+            payload_bytes=len(encoded.data),
+            header_bytes=_header_bytes([coder]),
+            original_bytes=int(image.size),
+            reconstructed=coder.reconstruct(
+                zz_blocks, encoded.grid_shape, encoded.channel_shape
+            ),
         )
-
-    def _cached_header_bytes(self) -> int:
-        if self._standard_header is None:
-            self._standard_header = self.header_bytes(self._standard_coder())
-        return self._standard_header
 
     def compress_batch(self, images: np.ndarray) -> "list[CompressionResult]":
         """Round-trip a stack of same-shaped images ``(N, H, W)`` at once.
@@ -757,60 +656,22 @@ class GrayscaleJpegCodec:
             )
         if self.optimize_huffman:
             return [self.compress(image) for image in images]
-        count, height, width = images.shape
-        coder = self._standard_coder()
-        zz_blocks, grid_shape = coder.quantized_batch(images)
-        blocks_per_image = grid_shape[0] * grid_shape[1]
-        values, lengths, block_tokens = coder.entropy_code(
-            zz_blocks, reset_interval=blocks_per_image
-        )
-        tokens_per_image = np.add.reduceat(
-            block_tokens, np.arange(0, count * blocks_per_image,
-                                    blocks_per_image),
-        )
-        boundaries = np.concatenate(
-            [[0], np.cumsum(tokens_per_image)]
-        ).astype(np.int64)
-        reconstructed = coder.reconstruct_batch(
-            zz_blocks, count, grid_shape, (height, width)
-        )
-        header = self._cached_header_bytes()
-        results = []
-        for index in range(count):
-            data = pack_bits(
-                values[boundaries[index]:boundaries[index + 1]],
-                lengths[boundaries[index]:boundaries[index + 1]],
+        payloads, reconstructed = _compress_plane_batch(self._coder, images)
+        header = _header_bytes([self._coder])
+        return [
+            CompressionResult(
+                payload_bytes=int(payload),
+                header_bytes=header,
+                original_bytes=int(images[0].size),
+                reconstructed=plane,
             )
-            results.append(
-                CompressionResult(
-                    payload_bytes=len(data),
-                    header_bytes=header,
-                    original_bytes=int(height * width),
-                    reconstructed=reconstructed[index],
-                )
-            )
-        return results
+            for payload, plane in zip(payloads, reconstructed)
+        ]
 
-    def header_bytes(self, coder: "Optional[_ChannelCoder]" = None) -> int:
+    def header_bytes(self) -> int:
         """Marker-segment overhead of a single-component baseline file."""
-        if coder is None:
-            coder = self._standard_coder()
-        dht = (
-            2 * _DHT_FIXED_BYTES
-            + coder.dc_huffman.header_cost_bytes()
-            + coder.ac_huffman.header_cost_bytes()
-        )
-        return (
-            _SOI_BYTES
-            + _APP0_BYTES
-            + _DQT_BYTES_PER_TABLE
-            + _SOF_FIXED_BYTES
-            + _SOF_PER_COMPONENT_BYTES
-            + dht
-            + _SOS_FIXED_BYTES
-            + _SOS_PER_COMPONENT_BYTES
-            + _EOI_BYTES
-        )
+        _require_standard_tables(self)
+        return _header_bytes([self._coder])
 
 
 class ColorJpegCodec:
@@ -839,23 +700,19 @@ class ColorJpegCodec:
         self.chroma_table = chroma_table if chroma_table is not None else luma_table
         self.subsample_chroma = bool(subsample_chroma)
         self.optimize_huffman = bool(optimize_huffman)
-        self._dc_luma = HuffmanTable.standard_dc_luminance()
-        self._ac_luma = HuffmanTable.standard_ac_luminance()
-        self._dc_chroma = HuffmanTable.standard_dc_chrominance()
-        self._ac_chroma = HuffmanTable.standard_ac_chrominance()
-        # Standard-table coders shared by every compress call (Cb and Cr
-        # use the same coder; coders are stateless across images).
-        luma_coder = _ChannelCoder(self.luma_table, self._dc_luma, self._ac_luma)
-        chroma_coder = _ChannelCoder(
-            self.chroma_table, self._dc_chroma, self._ac_chroma
+        # Standard-table coders of the Y, Cb and Cr planes (Cb and Cr
+        # share one coder; coders are stateless across images).
+        luma_coder = _ChannelCoder(
+            self.luma_table,
+            HuffmanTable.standard_dc_luminance(),
+            HuffmanTable.standard_ac_luminance(),
         )
-        self._plane_coders = [luma_coder, chroma_coder, chroma_coder]
-        self._standard_header = None
-
-    def _cached_header_bytes(self) -> int:
-        if self._standard_header is None:
-            self._standard_header = self.header_bytes(self._plane_coders)
-        return self._standard_header
+        chroma_coder = _ChannelCoder(
+            self.chroma_table,
+            HuffmanTable.standard_dc_chrominance(),
+            HuffmanTable.standard_ac_chrominance(),
+        )
+        self._coders = [luma_coder, chroma_coder, chroma_coder]
 
     def spec(self) -> dict:
         """JSON-able description; rebuilds this codec via the registry."""
@@ -867,28 +724,25 @@ class ColorJpegCodec:
             "optimize_huffman": self.optimize_huffman,
         }
 
-    def _planes_of(self, image: np.ndarray) -> "list[np.ndarray]":
-        """The Y/Cb/Cr coding planes of one RGB image (subsampled chroma)."""
-        ycbcr = color_mod.rgb_to_ycbcr(image)
-        planes = [ycbcr[..., 0]]
+    def _planes_of(
+        self, rgb: np.ndarray, subsample=color_mod.subsample_420
+    ) -> "list[np.ndarray]":
+        """The Y/Cb/Cr coding planes of an RGB image (or, with the batch
+        ``subsample``, of an RGB stack)."""
+        ycbcr = color_mod.rgb_to_ycbcr(rgb)
+        planes = [ycbcr[..., 0], ycbcr[..., 1], ycbcr[..., 2]]
         if self.subsample_chroma:
-            planes.append(color_mod.subsample_420(ycbcr[..., 1]))
-            planes.append(color_mod.subsample_420(ycbcr[..., 2]))
-        else:
-            planes.append(ycbcr[..., 1])
-            planes.append(ycbcr[..., 2])
+            planes[1:] = [subsample(plane) for plane in planes[1:]]
         return planes
 
     def _rgb_from_planes(
-        self, decoded_planes: "list[np.ndarray]", image_shape: tuple
+        self, planes: "list[np.ndarray]", image_shape: tuple,
+        upsample=color_mod.upsample_420,
     ) -> np.ndarray:
         """Invert :meth:`_planes_of` on decoded pixel planes."""
-        luma = decoded_planes[0]
+        luma, cb, cr = planes
         if self.subsample_chroma:
-            cb = color_mod.upsample_420(decoded_planes[1], image_shape)
-            cr = color_mod.upsample_420(decoded_planes[2], image_shape)
-        else:
-            cb, cr = decoded_planes[1], decoded_planes[2]
+            cb, cr = upsample(cb, image_shape), upsample(cr, image_shape)
         return color_mod.ycbcr_to_rgb(np.stack([luma, cb, cr], axis=-1))
 
     def encode(self, image: np.ndarray) -> EncodedImage:
@@ -899,29 +753,12 @@ class ColorJpegCodec:
         the streams without out-of-band state.
         """
         image = _require_rgb(image)
-        planes = self._planes_of(image)
-        encoded_planes = []
-        for plane, coder in zip(planes, self._plane_coders):
-            zz_blocks, grid_shape = coder.quantized_blocks(plane)
-            if self.optimize_huffman:
-                coder = _optimized_channel_coder(coder.table, zz_blocks)
-            encoded_planes.append(
-                EncodedChannel(
-                    data=coder.encode_quantized(zz_blocks),
-                    grid_shape=grid_shape,
-                    channel_shape=(plane.shape[0], plane.shape[1]),
-                    block_count=zz_blocks.shape[0],
-                    dc_huffman=(
-                        coder.dc_huffman if self.optimize_huffman else None
-                    ),
-                    ac_huffman=(
-                        coder.ac_huffman if self.optimize_huffman else None
-                    ),
-                )
-            )
         return EncodedImage(
-            planes=tuple(encoded_planes),
-            image_shape=(image.shape[0], image.shape[1]),
+            planes=tuple(
+                _encode_plane(coder, plane, self.optimize_huffman)[0]
+                for plane, coder in zip(self._planes_of(image), self._coders)
+            ),
+            image_shape=image.shape[:2],
             subsample_chroma=self.subsample_chroma,
         )
 
@@ -935,37 +772,11 @@ class ColorJpegCodec:
             raise ValueError(
                 "encoded image subsampling does not match this codec"
             )
-        coders = []
-        for plane, coder in zip(encoded.planes, self._plane_coders):
-            if plane.dc_huffman is not None or plane.ac_huffman is not None:
-                coder = _ChannelCoder(
-                    coder.table,
-                    plane.dc_huffman or coder.dc_huffman,
-                    plane.ac_huffman or coder.ac_huffman,
-                )
-            coders.append(coder)
-        # Planes sharing one coder (Cb and Cr on the standard tables)
-        # entropy-decode as a single FSM batch.
-        groups = {}
-        for index, coder in enumerate(coders):
-            groups.setdefault(id(coder), (coder, []))[1].append(index)
-        zz_by_plane = [None] * len(coders)
-        for coder, indices in groups.values():
-            blocks_list = coder.decode_to_zigzag_batch(
-                [encoded.planes[index].data for index in indices],
-                [encoded.planes[index].block_count for index in indices],
-            )
-            for index, zz_blocks in zip(indices, blocks_list):
-                zz_by_plane[index] = zz_blocks
-        decoded_planes = [
-            coders[index].reconstruct(
-                zz_by_plane[index],
-                encoded.planes[index].grid_shape,
-                encoded.planes[index].channel_shape,
-            )
-            for index in range(len(coders))
+        planes = [
+            _decode_plane(coder, plane)
+            for plane, coder in zip(encoded.planes, self._coders)
         ]
-        return self._rgb_from_planes(decoded_planes, encoded.image_shape)
+        return self._rgb_from_planes(planes, encoded.image_shape)
 
     def encode_to_bytes(self, image: np.ndarray) -> bytes:
         """Encode one RGB image into a self-contained byte container.
@@ -988,32 +799,25 @@ class ColorJpegCodec:
         not redundantly decoded.
         """
         image = _require_rgb(image)
-        height, width, _ = image.shape
-        planes = self._planes_of(image)
         coders = []
         payload = 0
-        decoded_planes = []
-        for plane, coder in zip(planes, self._plane_coders):
-            zz_blocks, grid_shape = coder.quantized_blocks(plane)
-            if self.optimize_huffman:
-                coder = _optimized_channel_coder(coder.table, zz_blocks)
+        planes = []
+        for plane, coder in zip(self._planes_of(image), self._coders):
+            encoded, coder, zz_blocks = _encode_plane(
+                coder, plane, self.optimize_huffman
+            )
             coders.append(coder)
-            payload += len(coder.encode_quantized(zz_blocks))
-            decoded_planes.append(
+            payload += len(encoded.data)
+            planes.append(
                 coder.reconstruct(
-                    zz_blocks, grid_shape, (plane.shape[0], plane.shape[1])
+                    zz_blocks, encoded.grid_shape, encoded.channel_shape
                 )
             )
-        reconstructed = self._rgb_from_planes(decoded_planes, (height, width))
-        header = (
-            self.header_bytes(coders) if self.optimize_huffman
-            else self._cached_header_bytes()
-        )
         return CompressionResult(
             payload_bytes=payload,
-            header_bytes=header,
-            original_bytes=int(height * width * 3),
-            reconstructed=reconstructed,
+            header_bytes=_header_bytes(coders),
+            original_bytes=int(image.size),
+            reconstructed=self._rgb_from_planes(planes, image.shape[:2]),
         )
 
     def compress_batch(self, images: np.ndarray) -> "list[CompressionResult]":
@@ -1035,94 +839,140 @@ class ColorJpegCodec:
             )
         if self.optimize_huffman:
             return [self.compress(image) for image in images]
-        count, height, width, _ = images.shape
-        ycbcr = color_mod.rgb_to_ycbcr(images)
-        planes = [ycbcr[..., 0]]
-        if self.subsample_chroma:
-            planes.append(color_mod.batch_subsample_420(ycbcr[..., 1]))
-            planes.append(color_mod.batch_subsample_420(ycbcr[..., 2]))
-        else:
-            planes.append(ycbcr[..., 1])
-            planes.append(ycbcr[..., 2])
-        payloads = np.zeros(count, dtype=np.int64)
-        decoded_planes = []
-        for plane_stack, coder in zip(planes, self._plane_coders):
-            zz_blocks, grid_shape = coder.quantized_batch(plane_stack)
-            blocks_per_image = grid_shape[0] * grid_shape[1]
-            values, lengths, block_tokens = coder.entropy_code(
-                zz_blocks, reset_interval=blocks_per_image
+        payloads = np.zeros(images.shape[0], dtype=np.int64)
+        planes = []
+        for plane_stack, coder in zip(
+            self._planes_of(images, color_mod.batch_subsample_420),
+            self._coders,
+        ):
+            plane_payloads, plane_images = _compress_plane_batch(
+                coder, plane_stack
             )
-            tokens_per_image = np.add.reduceat(
-                block_tokens,
-                np.arange(0, count * blocks_per_image, blocks_per_image),
-            )
-            boundaries = np.concatenate(
-                [[0], np.cumsum(tokens_per_image)]
-            ).astype(np.int64)
-            for index in range(count):
-                payloads[index] += len(
-                    pack_bits(
-                        values[boundaries[index]:boundaries[index + 1]],
-                        lengths[boundaries[index]:boundaries[index + 1]],
-                    )
-                )
-            decoded_planes.append(
-                coder.reconstruct_batch(
-                    zz_blocks, count, grid_shape, plane_stack.shape[1:]
-                )
-            )
-        luma = decoded_planes[0]
-        if self.subsample_chroma:
-            cb = color_mod.batch_upsample_420(
-                decoded_planes[1], (height, width)
-            )
-            cr = color_mod.batch_upsample_420(
-                decoded_planes[2], (height, width)
-            )
-        else:
-            cb, cr = decoded_planes[1], decoded_planes[2]
-        reconstructed = color_mod.ycbcr_to_rgb(
-            np.stack([luma, cb, cr], axis=-1)
+            payloads += plane_payloads
+            planes.append(plane_images)
+        reconstructed = self._rgb_from_planes(
+            planes, images.shape[1:3], color_mod.batch_upsample_420
         )
-        header = self._cached_header_bytes()
+        header = _header_bytes(self._coders)
         return [
             CompressionResult(
-                payload_bytes=int(payloads[index]),
+                payload_bytes=int(payload),
                 header_bytes=header,
-                original_bytes=int(height * width * 3),
-                reconstructed=reconstructed[index],
+                original_bytes=int(images[0].size),
+                reconstructed=image,
             )
-            for index in range(count)
+            for payload, image in zip(payloads, reconstructed)
         ]
 
-    def header_bytes(self, coders: "list[_ChannelCoder]" = None) -> int:
+    def header_bytes(self) -> int:
         """Marker-segment overhead of a three-component baseline file."""
-        if coders is None:
-            if self.optimize_huffman:
-                raise ValueError(
-                    "optimized Huffman header size depends on the image; "
-                    "pass coders"
-                )
-            coders = self._plane_coders
-        unique_tables = {id(self.luma_table), id(self.chroma_table)}
-        dht = 0
-        seen = set()
-        for coder in coders:
-            for table in (coder.dc_huffman, coder.ac_huffman):
-                if id(table) in seen:
-                    continue
-                seen.add(id(table))
-                dht += _DHT_FIXED_BYTES + table.header_cost_bytes()
-        return (
-            _SOI_BYTES
-            + _APP0_BYTES
-            + len(unique_tables) * _DQT_BYTES_PER_TABLE
-            + _SOF_FIXED_BYTES
-            + 3 * _SOF_PER_COMPONENT_BYTES
-            + dht
-            + _SOS_FIXED_BYTES
-            + 3 * _SOS_PER_COMPONENT_BYTES
-            + _EOI_BYTES
+        _require_standard_tables(self)
+        return _header_bytes(self._coders)
+
+
+# ----------------------------------------------------------------------
+# Plane pipeline shared by both codecs
+# ----------------------------------------------------------------------
+
+
+def _encode_plane(
+    coder: _ChannelCoder, plane: np.ndarray, optimize_huffman: bool
+) -> "tuple[EncodedChannel, _ChannelCoder, np.ndarray]":
+    """Quantize and entropy-code one plane.
+
+    With ``optimize_huffman`` the plane is coded with per-image optimized
+    Huffman tables, which ride along on the :class:`EncodedChannel`.
+    Returns the encoded channel, the coder that coded it and its zig-zag
+    quantized blocks (for a reconstruction without an entropy decode).
+    """
+    zz_blocks, grid_shape = coder.quantized_blocks(plane)
+    if optimize_huffman:
+        coder = _optimized_channel_coder(coder.table, zz_blocks)
+    encoded = EncodedChannel(
+        data=coder.encode_quantized(zz_blocks),
+        grid_shape=grid_shape,
+        channel_shape=plane.shape,
+        block_count=zz_blocks.shape[0],
+        dc_huffman=coder.dc_huffman if optimize_huffman else None,
+        ac_huffman=coder.ac_huffman if optimize_huffman else None,
+    )
+    return encoded, coder, zz_blocks
+
+
+def _decode_plane(coder: _ChannelCoder, encoded: EncodedChannel) -> np.ndarray:
+    """Decode one plane, with the Huffman tables it carries if any."""
+    if encoded.dc_huffman is not None or encoded.ac_huffman is not None:
+        coder = _ChannelCoder(
+            coder.table,
+            encoded.dc_huffman or coder.dc_huffman,
+            encoded.ac_huffman or coder.ac_huffman,
+        )
+    return coder.decode(encoded)
+
+
+def _compress_plane_batch(
+    coder: _ChannelCoder, planes: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-image payload sizes and reconstructions of an ``(N, H, W)`` stack.
+
+    The whole stack is entropy-coded in one pass with the DC predictor
+    reset at every image boundary, then split into per-image streams,
+    so each stream is the one the image would get on its own.
+    """
+    count = planes.shape[0]
+    zz_blocks, grid_shape = coder.quantized_batch(planes)
+    blocks_per_image = grid_shape[0] * grid_shape[1]
+    values, lengths, block_entries = coder.entropy_code(
+        zz_blocks, reset_interval=blocks_per_image
+    )
+    bounds = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(
+        block_entries.reshape(count, blocks_per_image).sum(axis=1),
+        out=bounds[1:],
+    )
+    payloads = np.array([
+        len(pack_bits(values[start:end], lengths[start:end]))
+        for start, end in zip(bounds[:-1], bounds[1:])
+    ], dtype=np.int64)
+    return payloads, coder.reconstruct_batch(
+        zz_blocks, count, grid_shape, planes.shape[1:]
+    )
+
+
+def _header_bytes(coders: "list[_ChannelCoder]") -> int:
+    """Marker-segment overhead of a baseline file, one component per coder.
+
+    Quantization and Huffman tables shared between components (Cb and
+    Cr) are written once.
+    """
+    quantization_tables = {id(coder.table) for coder in coders}
+    huffman_tables = {
+        id(table): table
+        for coder in coders
+        for table in (coder.dc_huffman, coder.ac_huffman)
+    }
+    components = len(coders)
+    return (
+        _SOI_BYTES
+        + _APP0_BYTES
+        + len(quantization_tables) * _DQT_BYTES_PER_TABLE
+        + _SOF_FIXED_BYTES
+        + components * _SOF_PER_COMPONENT_BYTES
+        + sum(
+            _DHT_FIXED_BYTES + table.header_cost_bytes()
+            for table in huffman_tables.values()
+        )
+        + _SOS_FIXED_BYTES
+        + components * _SOS_PER_COMPONENT_BYTES
+        + _EOI_BYTES
+    )
+
+
+def _require_standard_tables(codec) -> None:
+    if codec.optimize_huffman:
+        raise ValueError(
+            "with optimize_huffman the header size depends on the image; "
+            "read it from the compress() result"
         )
 
 

@@ -111,9 +111,6 @@ class HuffmanTable:
     _decode_lut: tuple = field(
         init=False, repr=False, compare=False, default=None
     )
-    _decode_arrays: tuple = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def __post_init__(self) -> None:
         if len(self.bits) != MAX_CODE_LENGTH:
@@ -197,26 +194,6 @@ class HuffmanTable:
                 self, "_decode_lut", (symbols.tolist(), lengths.tolist())
             )
         return self._decode_lut
-
-    def decode_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
-        """NumPy ``(symbols, lengths)`` decode tables over 16-bit windows.
-
-        Same contents as :meth:`decode_lut` but as read-only ``int16``
-        arrays, so the vectorized FSM decoder can gather thousands of
-        windows per pass.  Built lazily and cached on the instance.
-        """
-        if self._decode_arrays is None:
-            symbols = np.full(1 << MAX_CODE_LENGTH, -1, dtype=np.int16)
-            lengths = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.int16)
-            for (code, length), symbol in self._decode_map.items():
-                start = code << (MAX_CODE_LENGTH - length)
-                end = (code + 1) << (MAX_CODE_LENGTH - length)
-                symbols[start:end] = symbol
-                lengths[start:end] = length
-            symbols.setflags(write=False)
-            lengths.setflags(write=False)
-            object.__setattr__(self, "_decode_arrays", (symbols, lengths))
-        return self._decode_arrays
 
     def __contains__(self, symbol: int) -> bool:
         return symbol in self._encode_map

@@ -96,16 +96,6 @@ class TokenStream:
     def __len__(self) -> int:
         return int(self.symbols.shape[0])
 
-    @property
-    def is_dc(self) -> np.ndarray:
-        """True where the token is coded with the DC table."""
-        return self.symbols >= DC_SYMBOL_OFFSET
-
-    @property
-    def huffman_symbols(self) -> np.ndarray:
-        """The raw one-byte Huffman symbol of each token (0–255)."""
-        return self.symbols & (DC_SYMBOL_OFFSET - 1)
-
 
 def encode_dc(dc_value: int, previous_dc: int) -> DcToken:
     """DPCM-encode a block's DC coefficient against the previous block's."""

@@ -262,3 +262,21 @@ class TestColorCodec:
             color.compress(random_rgb_image).header_bytes
             > gray.compress(random_image).header_bytes
         )
+
+
+@pytest.mark.parametrize("codec_class", [GrayscaleJpegCodec, ColorJpegCodec])
+def test_header_bytes_needs_standard_tables(
+    codec_class, random_image, random_rgb_image
+):
+    # Per-image optimized tables make the header size depend on the
+    # image, so only compress() can report it.
+    table = QuantizationTable.standard_luminance(50)
+    image = random_image if codec_class is GrayscaleJpegCodec else (
+        random_rgb_image
+    )
+    standard = codec_class(table)
+    assert standard.header_bytes() == standard.compress(image).header_bytes
+    optimized = codec_class(table, optimize_huffman=True)
+    with pytest.raises(ValueError):
+        optimized.header_bytes()
+    assert optimized.compress(image).header_bytes > 0

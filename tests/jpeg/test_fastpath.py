@@ -26,7 +26,7 @@ from repro.jpeg.bitstream import (
     pack_bits,
     peek_words,
 )
-from repro.jpeg.codec import _ChannelCoder
+from repro.jpeg.codec import GrayscaleJpegCodec, _ChannelCoder
 from repro.jpeg.huffman import HuffmanTable
 from repro.jpeg.quantization import QuantizationTable
 from repro.jpeg.rle import (
@@ -71,6 +71,12 @@ def random_blocks(rng, count, low=-200, high=200, density=0.3):
     blocks = rng.integers(low, high + 1, size=(count, 64))
     mask = rng.random((count, 64)) < density
     return (blocks * mask).astype(np.int64)
+
+
+def smooth_images(rng, count, shape=(24, 24)):
+    """Noisy images with a horizontal ramp: realistic DC/AC statistics."""
+    ramp = np.linspace(0, 60, shape[1])[None, None, :]
+    return np.clip(rng.normal(128, 40, (count,) + shape) + ramp, 0, 255)
 
 
 class TestMagnitudeCategory:
@@ -397,6 +403,79 @@ class TestDecodeParity:
             except (EOFError, ValueError):
                 continue
             np.testing.assert_array_equal(decoded, blocks)
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_quant_tables_match_scalar_decode(self, seed):
+        rng = np.random.default_rng(seed)
+        table = QuantizationTable(
+            rng.integers(1, 80, (8, 8)).astype(float), name=f"fuzz-{seed}"
+        )
+        coder = _ChannelCoder(
+            table,
+            HuffmanTable.standard_dc_luminance(),
+            HuffmanTable.standard_ac_luminance(),
+        )
+        for image in smooth_images(rng, 4):
+            encoded = coder.encode(image)
+            np.testing.assert_array_equal(
+                coder.decode(encoded), coder.decode_scalar(encoded)
+            )
+
+    def test_optimized_huffman_tables_match_scalar_decode(self):
+        # Each stream carries the optimized tables built from its own
+        # blocks, so every symbol it needs is in its tables.
+        rng = np.random.default_rng(3)
+        table = QuantizationTable.standard_luminance(40)
+        codec = GrayscaleJpegCodec(table, optimize_huffman=True)
+        for image in smooth_images(rng, 12):
+            encoded = codec.encode(image)
+            coder = _ChannelCoder(
+                table, encoded.dc_huffman, encoded.ac_huffman
+            )
+            np.testing.assert_array_equal(
+                coder.decode(encoded), coder.decode_scalar(encoded)
+            )
+
+    def test_pure_noise_matches_scalar_decode(self):
+        # Unit quantization of uniform noise maximizes AC token density.
+        rng = np.random.default_rng(8)
+        coder = _ChannelCoder(
+            QuantizationTable.flat(1),
+            HuffmanTable.standard_dc_luminance(),
+            HuffmanTable.standard_ac_luminance(),
+        )
+        for _ in range(4):
+            image = rng.integers(0, 256, (16, 16)).astype(float)
+            encoded = coder.encode(image)
+            np.testing.assert_array_equal(
+                coder.decode(encoded), coder.decode_scalar(encoded)
+            )
+
+    def test_zero_blocks_decode_from_empty_stream(self):
+        assert CODER.decode_to_zigzag(b"", 0).shape == (0, 64)
+
+    @pytest.mark.parametrize("seed", [10, 11])
+    def test_corrupt_byte_decodes_or_raises_cleanly(self, seed):
+        # One random byte overwritten: the decode either succeeds or
+        # raises ValueError / EOFError, never anything else.
+        rng = np.random.default_rng(seed)
+        for image in smooth_images(rng, 4):
+            zz_blocks, _ = CODER.quantized_blocks(image)
+            data = CODER.encode_quantized(zz_blocks)
+            for _ in range(40):
+                position = int(rng.integers(0, len(data)))
+                corrupted = (
+                    data[:position] + bytes([int(rng.integers(0, 256))])
+                    + data[position + 1:]
+                )
+                try:
+                    decoded = CODER.decode_to_zigzag(
+                        corrupted, zz_blocks.shape[0]
+                    )
+                except (ValueError, EOFError):
+                    continue
+                assert decoded.shape == zz_blocks.shape
 
 
 class TestOutOfRangeMagnitudes:
