@@ -38,7 +38,7 @@ from repro.core.codec import (
     unregister_codec,
 )
 from repro.core.config import DeepNJpegConfig
-from repro.core.pipeline import DeepNJpeg, DeepNJpegCompressor
+from repro.core.pipeline import DeepNJpeg
 from repro.core.plm import PiecewiseLinearMapping
 from repro.core.table_design import DeepNJpegTableDesigner, TableDesignResult
 
@@ -47,7 +47,6 @@ __all__ = [
     "CompressedDataset",
     "DatasetCompressor",
     "DeepNJpeg",
-    "DeepNJpegCompressor",
     "DeepNJpegConfig",
     "DeepNJpegTableDesigner",
     "JpegCompressor",

@@ -1,6 +1,7 @@
 """Dataset-level compression: the baselines the paper compares against.
 
-Four compressors share one interface (:class:`DatasetCompressor`):
+Four compressors share one interface (:class:`DatasetCompressor`); each
+supplies its quantization tables and inherits every codec entry point:
 
 * :class:`JpegCompressor` — ordinary JPEG with the Annex-K table scaled by
   a quality factor (the "Original" dataset is JPEG at QF=100).
@@ -8,8 +9,8 @@ Four compressors share one interface (:class:`DatasetCompressor`):
   JPEG extended by discarding the top-N highest-frequency components.
 * :class:`SameQCompressor` — the paper's "SAME-Q" baseline: a flat table
   with one step for all 64 bands.
-* :class:`~repro.core.pipeline.DeepNJpegCompressor` — the proposed method
-  (defined in :mod:`repro.core.pipeline`).
+* :class:`~repro.core.pipeline.DeepNJpeg` — the proposed method, whose
+  tables are designed from a dataset (defined in :mod:`repro.core.pipeline`).
 
 Compressing a dataset returns a :class:`CompressedDataset` holding the
 reconstructed images (to feed a classifier) and the measured byte counts
@@ -24,16 +25,18 @@ from typing import Optional
 import numpy as np
 
 from repro.core.codec import (
-    codec_for_image,
     codec_for_stack,
     compress_stack,
-    decode_encoded,
     iter_compressed_stack,
-    modality_header_bytes,
     register_builtin_codec,
 )
 from repro.data.dataset import Dataset
-from repro.jpeg.codec import CompressionResult
+from repro.jpeg.codec import (
+    ColorJpegCodec,
+    CompressionResult,
+    EncodedImage,
+    GrayscaleJpegCodec,
+)
 from repro.jpeg.metrics import CompressedSizeMixin, psnr
 from repro.jpeg.quantization import (
     MAX_QUANT_STEP,
@@ -169,9 +172,10 @@ def compress_dataset_with_table(
 class DatasetCompressor:
     """Interface of every dataset-level compressor.
 
-    Besides the dataset entry point (:meth:`compress_dataset`), every
-    compressor implements the :class:`repro.core.codec.Codec` protocol —
-    per-image ``encode`` / ``decode`` / ``compress``, stack-level
+    A compressor is a source of quantization tables.  Besides the
+    dataset entry point (:meth:`compress_dataset`), every compressor
+    implements the :class:`repro.core.codec.Codec` protocol — per-image
+    ``encode`` / ``decode`` / ``compress``, stack-level
     ``compress_batch``, ``header_bytes`` and a JSON-able ``spec()`` —
     by building the modality-appropriate JPEG codec from its tables.
     """
@@ -190,10 +194,9 @@ class DatasetCompressor:
     def optimize_huffman(self) -> bool:
         """Whether this compressor codes with per-image optimized tables.
 
-        The base compressors use the Annex K standard tables; wrappers
-        around a configured pipeline override this so their per-image
-        codec path produces exactly the streams their ``spec()``
-        describes.
+        The baselines use the Annex K standard tables; every encoding
+        entry point below follows this flag, so the streams are exactly
+        those the compressor's ``spec()`` describes.
         """
         return False
 
@@ -201,26 +204,49 @@ class DatasetCompressor:
         """JSON-able description; rebuilds this compressor via the registry."""
         raise NotImplementedError
 
+    def _codec(self, color: bool):
+        """The JPEG codec of this compressor's tables for one modality."""
+        if color:
+            return ColorJpegCodec(
+                self.luma_table(), self.chroma_table(),
+                optimize_huffman=self.optimize_huffman(),
+            )
+        return GrayscaleJpegCodec(
+            self.luma_table(), optimize_huffman=self.optimize_huffman()
+        )
+
     def codec_for(self, image: np.ndarray):
         """The underlying JPEG codec for one image.
 
-        Accepts a single ``(H, W)`` grayscale or ``(H, W, 3)`` RGB
-        image (:func:`repro.core.codec.codec_for_image`); stacks go
-        through :meth:`compress_batch`, whose shape validation matches
-        :func:`repro.core.codec.codec_for_stack`.
+        The image's own rank decides the modality — ``(H, W)`` grayscale,
+        ``(H, W, 3)`` RGB — so a 3-pixel-wide grayscale image is not
+        ambiguous here; stacks go through :meth:`compress_batch`.
         """
-        return codec_for_image(
-            image, self.luma_table(), self.chroma_table(),
-            optimize_huffman=self.optimize_huffman(),
-        )
+        shape = np.shape(image)
+        color = len(shape) == 3 and shape[-1] == 3
+        if not color and len(shape) != 2:
+            raise ValueError(
+                f"expected (H, W) or (H, W, 3) image, got shape {shape}"
+            )
+        return self._codec(color)
 
     def encode(self, image: np.ndarray):
         """Entropy-code one image with this compressor's tables."""
         return self.codec_for(image).encode(np.asarray(image, dtype=np.float64))
 
     def decode(self, encoded) -> np.ndarray:
-        """Decode a stream previously produced by :meth:`encode`."""
-        return decode_encoded(encoded, self.luma_table(), self.chroma_table())
+        """Decode a stream previously produced by :meth:`encode`.
+
+        An :class:`~repro.jpeg.codec.EncodedImage` decodes through the
+        colour path (with the subsampling recorded on the stream),
+        anything else through the grayscale path.
+        """
+        if isinstance(encoded, EncodedImage):
+            return ColorJpegCodec(
+                self.luma_table(), self.chroma_table(),
+                subsample_chroma=encoded.subsample_chroma,
+            ).decode(encoded)
+        return GrayscaleJpegCodec(self.luma_table()).decode(encoded)
 
     def compress(self, image: np.ndarray) -> CompressionResult:
         """Round-trip one image and report sizes and the reconstruction."""
@@ -237,22 +263,22 @@ class DatasetCompressor:
         contract — ``(N, H, W)`` grayscale or ``(N, H, W, 3)`` colour,
         with the ambiguous ``(N, H, 3)`` case rejected explicitly.
         """
-        images = np.asarray(images, dtype=np.float64)
-        codec = codec_for_stack(
+        return compress_batch(
             images, self.luma_table(), self.chroma_table(),
-            optimize_huffman=self.optimize_huffman(),
+            optimize_huffman=self.optimize_huffman(), workers=workers,
         )
-        return compress_stack(images, codec, workers)
 
     def header_bytes(self, color: bool = False) -> int:
-        """Marker-segment overhead per image for the given modality."""
-        return modality_header_bytes(
-            self.luma_table(), self.chroma_table(), color=color
-        )
+        """Marker-segment overhead per image for the given modality.
+
+        Raises :class:`ValueError` when the compressor codes with
+        per-image optimized Huffman tables, whose header size depends on
+        the image.
+        """
+        return self._codec(color).header_bytes()
 
     def compress_dataset(
-        self, dataset: Dataset, optimize_huffman: bool = False,
-        workers: int = 1,
+        self, dataset: Dataset, workers: int = 1
     ) -> CompressedDataset:
         """Compress every image of ``dataset`` and collect statistics.
 
@@ -264,7 +290,7 @@ class DatasetCompressor:
             self.luma_table(),
             self.chroma_table(),
             method=self.name,
-            optimize_huffman=optimize_huffman,
+            optimize_huffman=self.optimize_huffman(),
             workers=workers,
         )
 

@@ -15,10 +15,8 @@ JSON-able self-description that the string-keyed registry
 Specs double as content-addressable identities: the experiment artifact
 store (:mod:`repro.experiments.store`) keys cached grid cells on them.
 
-The module also owns the single shared dataset path that the former
-``baselines._codec_for_stack`` / ``baselines._iter_compressed`` /
-per-call chunk loops duplicated: :func:`codec_for_stack` dispatches a
-stack's modality to the right JPEG codec, and
+The module also owns the shared dataset path: :func:`codec_for_stack`
+dispatches a stack's modality to the right JPEG codec, and
 :func:`iter_compressed_stack` streams per-image results through one
 memory-bounded chunked loop (serial) or a forked process pool
 (``workers > 1``) — byte-identical either way.
@@ -30,12 +28,7 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.jpeg.codec import (
-    ColorJpegCodec,
-    CompressionResult,
-    EncodedImage,
-    GrayscaleJpegCodec,
-)
+from repro.jpeg.codec import ColorJpegCodec, CompressionResult, GrayscaleJpegCodec
 from repro.jpeg.quantization import QuantizationTable
 from repro.runtime import shm
 from repro.runtime.executor import chunk_bounds, effective_workers, imap_tasks
@@ -242,9 +235,7 @@ def codec_for_stack(
     """
     if images.ndim == 4:
         return ColorJpegCodec(
-            luma_table,
-            chroma_table if chroma_table is not None else luma_table,
-            optimize_huffman=optimize_huffman,
+            luma_table, chroma_table, optimize_huffman=optimize_huffman
         )
     if images.ndim == 3:
         if strict and images.shape[-1] == 3:
@@ -262,62 +253,6 @@ def codec_for_stack(
         "expected an (N, H, W) or (N, H, W, 3) image stack, got "
         f"shape {images.shape}"
     )
-
-
-def codec_for_image(
-    image: np.ndarray,
-    luma_table: QuantizationTable,
-    chroma_table: Optional[QuantizationTable] = None,
-    optimize_huffman: bool = False,
-):
-    """The JPEG codec implied by ONE image's shape.
-
-    The single-image counterpart of :func:`codec_for_stack`: the
-    image's own rank decides the modality — ``(H, W)`` grayscale,
-    ``(H, W, 3)`` RGB — so the stack dispatch runs non-strict (a
-    3-pixel-wide 2-D grayscale image is not ambiguous here).
-    """
-    image = np.asarray(image)
-    if image.ndim == 2 or (image.ndim == 3 and image.shape[-1] == 3):
-        return codec_for_stack(
-            image[np.newaxis], luma_table, chroma_table,
-            optimize_huffman=optimize_huffman, strict=False,
-        )
-    raise ValueError(
-        f"expected (H, W) or (H, W, 3) image, got shape {image.shape}"
-    )
-
-
-def decode_encoded(
-    encoded,
-    luma_table: QuantizationTable,
-    chroma_table: Optional[QuantizationTable] = None,
-) -> np.ndarray:
-    """Decode an encoded stream with the given tables (modality-dispatched).
-
-    The one decode helper behind every table-holding compression
-    surface: an :class:`~repro.jpeg.codec.EncodedImage` decodes through
-    the colour path (honouring the subsampling recorded on the stream),
-    anything else through the grayscale path.
-    """
-    if isinstance(encoded, EncodedImage):
-        return ColorJpegCodec(
-            luma_table,
-            chroma_table,
-            subsample_chroma=encoded.subsample_chroma,
-        ).decode(encoded)
-    return GrayscaleJpegCodec(luma_table).decode(encoded)
-
-
-def modality_header_bytes(
-    luma_table: QuantizationTable,
-    chroma_table: Optional[QuantizationTable] = None,
-    color: bool = False,
-) -> int:
-    """Per-image marker overhead of the given tables for one modality."""
-    if color:
-        return ColorJpegCodec(luma_table, chroma_table).header_bytes()
-    return GrayscaleJpegCodec(luma_table).header_bytes()
 
 
 #: Current parallel compression job: ``(images, codec)``.  Set by the

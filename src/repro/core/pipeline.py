@@ -9,9 +9,9 @@
    table through the ordinary JPEG pipeline, so the decoder and hardware
    cost are exactly those of JPEG.
 
-:class:`DeepNJpegCompressor` adapts a fitted pipeline to the
-:class:`~repro.core.baselines.DatasetCompressor` interface used by the
-experiments.
+Only the tables differ from the baselines, so :class:`DeepNJpeg` is one
+more :class:`~repro.core.baselines.DatasetCompressor`: it inherits every
+codec entry point and adds the fit and the artifact round-trip.
 
 A fitted pipeline is a *serializable artifact*: :meth:`DeepNJpeg.save`
 persists the configuration and the complete table design (tables,
@@ -30,23 +30,11 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.frequency import FrequencyStatistics, analyze_dataset
-from repro.core.baselines import (
-    CompressedDataset,
-    DatasetCompressor,
-    compress_dataset_with_table,
-)
-from repro.core.codec import (
-    codec_for_image,
-    codec_for_stack,
-    compress_stack,
-    decode_encoded,
-    modality_header_bytes,
-    register_builtin_codec,
-)
+from repro.core.baselines import DatasetCompressor
+from repro.core.codec import register_builtin_codec
 from repro.core.config import DeepNJpegConfig
 from repro.core.table_design import DeepNJpegTableDesigner, TableDesignResult
 from repro.data.dataset import Dataset
-from repro.jpeg.codec import CompressionResult
 from repro.jpeg.quantization import QuantizationTable
 
 #: Format tag and version of the saved-artifact JSON layout.
@@ -54,8 +42,15 @@ ARTIFACT_FORMAT = "deepn-jpeg-artifact"
 ARTIFACT_VERSION = 1
 
 
-class DeepNJpeg:
-    """DNN-favourable JPEG compression, fitted to a labelled dataset."""
+class DeepNJpeg(DatasetCompressor):
+    """DNN-favourable JPEG compression, fitted to a labelled dataset.
+
+    A :class:`~repro.core.baselines.DatasetCompressor` whose tables come
+    from the fitted design; every table access goes through
+    :attr:`design`, so an unfitted pipeline raises :class:`RuntimeError`.
+    """
+
+    name = "DeepN-JPEG"
 
     def __init__(self, config: Optional[DeepNJpegConfig] = None) -> None:
         self.config = config if config is not None else DeepNJpegConfig()
@@ -70,7 +65,10 @@ class DeepNJpeg:
     @property
     def design(self) -> TableDesignResult:
         """The table design result (raises if not fitted)."""
-        self._require_fitted()
+        if self._design is None:
+            raise RuntimeError(
+                "DeepNJpeg must be fitted (call fit or fit_statistics) before use"
+            )
         return self._design
 
     @property
@@ -112,12 +110,11 @@ class DeepNJpeg:
 
     def save(self, path: str) -> None:
         """Persist the fitted pipeline as a versioned JSON artifact."""
-        self._require_fitted()
         payload = {
             "format": ARTIFACT_FORMAT,
             "version": ARTIFACT_VERSION,
             "config": self.config.to_json(),
-            "design": self._design.to_json(),
+            "design": self.design.to_json(),
         }
         # PID-suffixed temp file + rename: concurrent savers (parallel
         # shards, jobs sharing a volume) each publish a complete file.
@@ -129,49 +126,40 @@ class DeepNJpeg:
 
     @classmethod
     def load(cls, path: str) -> "DeepNJpeg":
-        """Restore a pipeline saved by :meth:`save` (bit-exact tables)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("format") != ARTIFACT_FORMAT:
+        """Restore a pipeline saved by :meth:`save` (bit-exact tables).
+
+        Every malformed artifact raises :class:`ValueError` naming
+        ``path``; only a missing or unreadable file raises ``OSError``.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+            if not isinstance(payload, dict):
+                raise ValueError(f"top level is a {type(payload).__name__}")
+            if payload.get("format") != ARTIFACT_FORMAT:
+                raise ValueError(f"format={payload.get('format')!r}")
+            if payload.get("version") != ARTIFACT_VERSION:
+                raise ValueError(
+                    f"unsupported version {payload.get('version')!r} "
+                    f"(this build reads version {ARTIFACT_VERSION})"
+                )
+            pipeline = cls(DeepNJpegConfig.from_json(payload["config"]))
+            pipeline._design = TableDesignResult.from_json(payload["design"])
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise ValueError(
-                f"{path} is not a {ARTIFACT_FORMAT} file "
-                f"(format={payload.get('format')!r})"
-            )
-        if payload.get("version") != ARTIFACT_VERSION:
-            raise ValueError(
-                f"unsupported artifact version {payload.get('version')} "
-                f"(this build reads version {ARTIFACT_VERSION})"
-            )
-        pipeline = cls(DeepNJpegConfig.from_json(payload["config"]))
-        pipeline._design = TableDesignResult.from_json(payload["design"])
+                f"{path} is not a valid {ARTIFACT_FORMAT} file: "
+                f"{type(error).__name__}: {error}"
+            ) from error
         return pipeline
 
-    def _codec_for(self, image: np.ndarray):
-        """The JPEG codec matching one image's modality.
+    def luma_table(self) -> QuantizationTable:
+        return self.design.table
 
-        Shared single-image shape contract
-        (:func:`repro.core.codec.codec_for_image`) with the designed
-        tables.
-        """
-        return codec_for_image(
-            image,
-            self._design.table,
-            self._design.chroma_table,
-            optimize_huffman=self.config.optimize_huffman,
-        )
+    def chroma_table(self) -> QuantizationTable:
+        return self.design.chroma_table
 
-    def encode(self, image: np.ndarray):
-        """Entropy-code one image with the designed tables."""
-        self._require_fitted()
-        image = np.asarray(image, dtype=np.float64)
-        return self._codec_for(image).encode(image)
-
-    def decode(self, encoded) -> np.ndarray:
-        """Decode a stream previously produced by :meth:`encode`."""
-        self._require_fitted()
-        return decode_encoded(
-            encoded, self._design.table, self._design.chroma_table
-        )
+    def optimize_huffman(self) -> bool:
+        return self.config.optimize_huffman
 
     def encode_to_bytes(self, image: np.ndarray) -> bytes:
         """Encode one image into a self-contained byte container.
@@ -181,123 +169,9 @@ class DeepNJpeg:
         without the fitted pipeline — the wire format for shipping
         compressed samples off the edge device.
         """
-        self._require_fitted()
-        image = np.asarray(image, dtype=np.float64)
-        return self._codec_for(image).encode_to_bytes(image)
-
-    def header_bytes(self, color: bool = False) -> int:
-        """Marker-segment overhead per image for the given modality."""
-        self._require_fitted()
-        return modality_header_bytes(
-            self._design.table, self._design.chroma_table, color=color
+        return self.codec_for(image).encode_to_bytes(
+            np.asarray(image, dtype=np.float64)
         )
-
-    def compress(self, image: np.ndarray) -> CompressionResult:
-        """Compress (and reconstruct) one grayscale or RGB image."""
-        self._require_fitted()
-        image = np.asarray(image, dtype=np.float64)
-        return self._codec_for(image).compress(image)
-
-    def compress_batch(
-        self, images: np.ndarray, workers: int = 1
-    ) -> "list[CompressionResult]":
-        """Round-trip a stack of same-shaped images with the designed tables.
-
-        ``(N, H, W)`` stacks run grayscale, ``(N, H, W, 3)`` colour —
-        the shape contract of :func:`repro.core.codec.codec_for_stack`,
-        including the explicit rejection of ambiguous ``(N, H, 3)``
-        stacks and the empty-stack → ``[]`` case; ``workers > 1``
-        shards the stack over a process pool with identical results
-        (see :func:`repro.core.codec.compress_stack`).
-        """
-        self._require_fitted()
-        images = np.asarray(images, dtype=np.float64)
-        codec = codec_for_stack(
-            images,
-            self._design.table,
-            self._design.chroma_table,
-            optimize_huffman=self.config.optimize_huffman,
-        )
-        return compress_stack(images, codec, workers)
-
-    def compress_dataset(
-        self, dataset: Dataset, workers: int = 1
-    ) -> CompressedDataset:
-        """Compress every image of ``dataset`` with the designed table.
-
-        ``workers > 1`` shards the dataset over a process pool with
-        identical results (see
-        :func:`repro.core.baselines.compress_dataset_with_table`).
-        """
-        self._require_fitted()
-        return compress_dataset_with_table(
-            dataset,
-            self._design.table,
-            self._design.chroma_table,
-            method="DeepN-JPEG",
-            optimize_huffman=self.config.optimize_huffman,
-            workers=workers,
-        )
-
-    def _require_fitted(self) -> None:
-        if self._design is None:
-            raise RuntimeError(
-                "DeepNJpeg must be fitted (call fit or fit_statistics) before use"
-            )
-
-
-class DeepNJpegCompressor(DatasetCompressor):
-    """Adapter exposing a fitted :class:`DeepNJpeg` as a DatasetCompressor."""
-
-    name = "DeepN-JPEG"
-
-    def __init__(self, pipeline: DeepNJpeg) -> None:
-        if not pipeline.is_fitted:
-            raise ValueError("pipeline must be fitted before wrapping it")
-        self.pipeline = pipeline
-
-    @classmethod
-    def fit(
-        cls, dataset: Dataset, config: Optional[DeepNJpegConfig] = None
-    ) -> "DeepNJpegCompressor":
-        """Fit a new pipeline on ``dataset`` and wrap it."""
-        return cls(DeepNJpeg(config).fit(dataset))
-
-    def spec(self) -> dict:
-        """The wrapped pipeline's spec (the fitted artifact's identity)."""
-        return self.pipeline.spec()
-
-    def optimize_huffman(self) -> bool:
-        """Follow the wrapped pipeline's configuration.
-
-        Keeps the per-image codec path bit-identical to the pipeline's
-        own — the ``spec()`` content address describes exactly the
-        streams this wrapper produces.
-        """
-        return self.pipeline.config.optimize_huffman
-
-    def compress_dataset(
-        self, dataset: Dataset, optimize_huffman: Optional[bool] = None,
-        workers: int = 1,
-    ) -> CompressedDataset:
-        """Compress ``dataset`` with the designed tables.
-
-        ``optimize_huffman=None`` (the default) follows the wrapped
-        pipeline's configuration, so the dataset path matches what the
-        wrapper's ``spec()`` describes; pass an explicit boolean to
-        override.
-        """
-        if optimize_huffman is None:
-            optimize_huffman = self.pipeline.config.optimize_huffman
-        return super().compress_dataset(
-            dataset, optimize_huffman=optimize_huffman, workers=workers
-        )
-
-    def luma_table(self) -> QuantizationTable:
-        return self.pipeline.design.table
-
-    def chroma_table(self) -> QuantizationTable:
-        return self.pipeline.design.chroma_table
 
 
 def _build_deepn_jpeg(config=None, design=None) -> DeepNJpeg:

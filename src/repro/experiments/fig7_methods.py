@@ -24,7 +24,7 @@ from repro.core.baselines import (
     RemoveHighFrequencyCompressor,
     SameQCompressor,
 )
-from repro.core.pipeline import DeepNJpeg, DeepNJpegCompressor
+from repro.core.pipeline import DeepNJpeg
 from repro.experiments import api
 from repro.experiments.common import (
     ExperimentConfig,
@@ -105,7 +105,7 @@ def candidate_compressors(
         RemoveHighFrequencyCompressor(count) for count in rmhf_components
     )
     compressors.extend(SameQCompressor(step) for step in sameq_steps)
-    compressors.append(DeepNJpegCompressor(deepn))
+    compressors.append(deepn)
     return compressors
 
 

@@ -122,6 +122,38 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="version"):
             DeepNJpeg.load(str(path))
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda p: [p], id="top-level-list"),
+            pytest.param(
+                lambda p: {k: v for k, v in p.items() if k != "config"},
+                id="no-config",
+            ),
+            pytest.param(
+                lambda p: {k: v for k, v in p.items() if k != "design"},
+                id="no-design",
+            ),
+            pytest.param(lambda p: {**p, "design": None}, id="null-design"),
+            pytest.param(
+                lambda p: {**p, "config": {**p["config"], "bogus": 1}},
+                id="unknown-config-field",
+            ),
+            pytest.param(
+                lambda p: {**p, "design": {**p["design"], "table": {}}},
+                id="empty-table",
+            ),
+        ],
+    )
+    def test_load_malformed_raises_value_error_naming_path(
+        self, tmp_path, fitted, corrupt
+    ):
+        path = tmp_path / "artifact.json"
+        fitted.save(str(path))
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match="artifact.json"):
+            DeepNJpeg.load(str(path))
+
     def test_round_trip_bit_identical_streams(self, tmp_path, fitted, dataset):
         path = tmp_path / "artifact.json"
         fitted.save(str(path))

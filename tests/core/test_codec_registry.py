@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import (
+    DatasetCompressor,
     JpegCompressor,
     RemoveHighFrequencyCompressor,
     SameQCompressor,
@@ -55,25 +56,26 @@ class TestProtocol:
             fitted_deepn,
         ):
             assert isinstance(codec, Codec)
+        assert isinstance(fitted_deepn, DatasetCompressor)
 
     def test_compressor_codec_methods_match_underlying_codec(
-        self, gray_image
+        self, gray_image, fitted_deepn
     ):
-        compressor = JpegCompressor(60)
-        reference = GrayscaleJpegCodec(compressor.luma_table())
-        assert (
-            compressor.encode(gray_image).data
-            == reference.encode(gray_image).data
-        )
-        np.testing.assert_array_equal(
-            compressor.decode(compressor.encode(gray_image)),
-            reference.decode(reference.encode(gray_image)),
-        )
-        assert (
-            compressor.compress(gray_image).payload_bytes
-            == reference.compress(gray_image).payload_bytes
-        )
-        assert compressor.header_bytes() == reference.header_bytes()
+        for compressor in (JpegCompressor(60), fitted_deepn):
+            reference = GrayscaleJpegCodec(compressor.luma_table())
+            assert (
+                compressor.encode(gray_image).data
+                == reference.encode(gray_image).data
+            )
+            np.testing.assert_array_equal(
+                compressor.decode(compressor.encode(gray_image)),
+                reference.decode(reference.encode(gray_image)),
+            )
+            assert (
+                compressor.compress(gray_image).payload_bytes
+                == reference.compress(gray_image).payload_bytes
+            )
+            assert compressor.header_bytes() == reference.header_bytes()
 
     def test_compressor_color_dispatch(self, rgb_image):
         compressor = JpegCompressor(60)
@@ -116,35 +118,31 @@ class TestProtocol:
         reference = GrayscaleJpegCodec(compressor.luma_table())
         assert compressor.encode(image).data == reference.encode(image).data
 
-    def test_wrapper_honours_optimize_huffman(self, gray_image):
-        # A DeepNJpegCompressor wrapping an optimize_huffman pipeline must
-        # produce exactly the streams its spec() describes — i.e. the
-        # pipeline's own — through every protocol method.
+    def test_deepn_honours_optimize_huffman(self, gray_image):
+        # A pipeline configured with optimize_huffman produces exactly the
+        # streams its spec() describes through every protocol method,
+        # the dataset path included.
         from repro.core.config import DeepNJpegConfig
-        from repro.core.pipeline import DeepNJpegCompressor
 
         dataset = generate_freqnet(
             FreqNetConfig(image_size=16, images_per_class=4, seed=6)
         )
         deepn = DeepNJpeg(DeepNJpegConfig(optimize_huffman=True)).fit(dataset)
-        wrapper = DeepNJpegCompressor(deepn)
-        assert wrapper.optimize_huffman()
+        assert deepn.optimize_huffman()
+        reference = GrayscaleJpegCodec(deepn.table, optimize_huffman=True)
+        assert deepn.encode(gray_image).data == reference.encode(gray_image).data
         assert (
-            wrapper.encode(gray_image).data == deepn.encode(gray_image).data
+            deepn.compress(gray_image).payload_bytes
+            == reference.compress(gray_image).payload_bytes
         )
-        assert (
-            wrapper.compress(gray_image).payload_bytes
-            == deepn.compress(gray_image).payload_bytes
-        )
-        rebuilt = build_codec_from_spec(wrapper.spec())
+        rebuilt = build_codec_from_spec(deepn.spec())
         assert (
             rebuilt.compress(gray_image).payload_bytes
-            == wrapper.compress(gray_image).payload_bytes
+            == deepn.compress(gray_image).payload_bytes
         )
-        # The dataset path follows the pipeline's configuration too.
-        assert (
-            wrapper.compress_dataset(dataset).payload_bytes
-            == deepn.compress_dataset(dataset).payload_bytes
+        results = reference.compress_batch(dataset.images)
+        assert deepn.compress_dataset(dataset).payload_bytes == sum(
+            result.payload_bytes for result in results
         )
 
     def test_deepn_batch_contracts(self, fitted_deepn):

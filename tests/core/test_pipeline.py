@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.baselines import JpegCompressor
 from repro.core.config import DeepNJpegConfig
-from repro.core.pipeline import DeepNJpeg, DeepNJpegCompressor
+from repro.core.pipeline import DeepNJpeg
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,11 @@ class TestFitting:
             pipeline.compress_dataset(small_freqnet)
         with pytest.raises(RuntimeError):
             _ = pipeline.table
+        # Every inherited DatasetCompressor entry point reads the tables
+        # through the design, so each one raises the same error.
+        for call in (pipeline.luma_table, pipeline.header_bytes):
+            with pytest.raises(RuntimeError, match="fitted"):
+                call()
 
     def test_fit_returns_self_and_designs_table(self, fitted_pipeline):
         assert fitted_pipeline.is_fitted
@@ -97,23 +102,24 @@ class TestCompression:
         )
 
 
-class TestCompressorAdapter:
-    def test_requires_fitted_pipeline(self):
-        with pytest.raises(ValueError):
-            DeepNJpegCompressor(DeepNJpeg())
-
-    def test_fit_classmethod(self, small_freqnet):
-        compressor = DeepNJpegCompressor.fit(
-            small_freqnet, DeepNJpegConfig(sampling_interval=3)
-        )
-        compressed = compressor.compress_dataset(small_freqnet)
-        assert compressed.method == "DeepN-JPEG"
-
+class TestDatasetCompressorSurface:
     def test_tables_exposed(self, fitted_pipeline):
-        compressor = DeepNJpegCompressor(fitted_pipeline)
         np.testing.assert_array_equal(
-            compressor.luma_table().values, fitted_pipeline.table.values
+            fitted_pipeline.luma_table().values, fitted_pipeline.table.values
         )
-        assert compressor.chroma_table().mean_step() >= (
-            compressor.luma_table().mean_step()
+        assert fitted_pipeline.chroma_table() is fitted_pipeline.design.chroma_table
+        assert fitted_pipeline.chroma_table().mean_step() >= (
+            fitted_pipeline.luma_table().mean_step()
         )
+
+    @pytest.mark.parametrize("color", [False, True])
+    def test_header_bytes_needs_standard_tables(
+        self, fitted_pipeline, small_freqnet, color
+    ):
+        # With per-image optimized Huffman tables the header size depends
+        # on the image, so there is no per-modality constant to report.
+        assert fitted_pipeline.header_bytes(color=color) > 0
+        config = DeepNJpegConfig(sampling_interval=2, optimize_huffman=True)
+        pipeline = DeepNJpeg(config).fit(small_freqnet)
+        with pytest.raises(ValueError, match="optimize_huffman"):
+            pipeline.header_bytes(color=color)
